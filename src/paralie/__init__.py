@@ -9,7 +9,6 @@ from .expengine import (
     closed_form,
     exp_result_to_json,
     para_sasakian_group,
-    verify_closed_form,
 )
 from .levicivita import (
     ConnectionCoeffs,
@@ -17,7 +16,6 @@ from .levicivita import (
     classify_manifold,
     connection_coeffs,
     f_tensor,
-    is_para_sasakian,
 )
 from .lie import (
     StructureConstants,
@@ -27,7 +25,6 @@ from .lie import (
     constants_from_json,
     constants_to_json,
     jacobi_defect,
-    para_sasakian_algebra,
     structure_constants,
 )
 from .mat3 import (
@@ -36,9 +33,7 @@ from .mat3 import (
     Vec3,
     annihilator,
     expm_oracle,
-    identity,
     mat3,
-    mat_mul,
     max_abs,
     trace,
     trace_sq,
@@ -63,7 +58,6 @@ from .structure import (
     match_class,
     report_to_json,
     standard_structure,
-    structure_passes,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,26 +37,6 @@ ROUNDTRIP_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
 SMALL_PARAM_GRID = (-1.0, 1.0)
 SMALL_COORD_GRID = (-1.0, 0.0, 1.0)
-
-
-@dataclass
-class CliConfig:
-    """Parsed invocation; tol must be positive, format defaults to text."""
-
-    command: str
-    class_id: str = "F0"
-    alpha: float = 0.0
-    beta: float = 0.0
-    coords: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    input_path: str = "-"
-    tol: float = 1e-12
-    fmt: str = "text"
-    oracle: bool = False
-    grid: str = "full"
-
-    def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
 
 # --- verification grids -----------------------------------------------------
@@ -189,11 +168,11 @@ def _format_brackets(c) -> list[str]:
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_construct(cfg: CliConfig) -> int:
-    p = ClassParams(cfg.class_id, cfg.alpha, cfg.beta)
+def cmd_construct(args: argparse.Namespace) -> int:
+    p = ClassParams(args.class_id, args.alpha, args.beta)
     c = class_algebra(p)
     defect = jacobi_defect(c)
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = constants_to_json(c)
         payload["jacobi_defect"] = defect
         print(render_json(payload))
@@ -213,10 +192,10 @@ def _read_input(path: str) -> dict:
     return obj
 
 
-def cmd_classify(cfg: CliConfig) -> int:
-    c = constants_from_json(_read_input(cfg.input_path))
-    report = classify_manifold(c, cfg.tol)
-    if cfg.fmt == "json":
+def cmd_classify(args: argparse.Namespace) -> int:
+    c = constants_from_json(_read_input(args.input))
+    report = classify_manifold(c, args.tol)
+    if args.format == "json":
         print(render_json(report_to_json(report)))
     else:
         print("verdict: " + " + ".join(report.verdict))
@@ -231,13 +210,13 @@ def cmd_classify(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_exp(cfg: CliConfig) -> int:
-    p = ClassParams(cfg.class_id, cfg.alpha, cfg.beta)
-    a, b, c = cfg.coords
+def cmd_exp(args: argparse.Namespace) -> int:
+    p = ClassParams(args.class_id, args.alpha, args.beta)
+    a, b, c = args.coords
     res = closed_form(p, a, b, c)
-    if cfg.oracle:
+    if args.oracle:
         res.oracle_residual = max_abs(res.expA - expm_oracle(res.A, 1e-15))
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(render_json(exp_result_to_json(res)))
     else:
         print(
@@ -257,8 +236,8 @@ def cmd_exp(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    if cfg.grid == "small":
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.grid == "small":
         params, coords, rt = SMALL_PARAM_GRID, SMALL_COORD_GRID, SMALL_PARAM_GRID
     else:
         params, coords, rt = PARAM_GRID, COORD_GRID, ROUNDTRIP_GRID
@@ -267,30 +246,30 @@ def cmd_verify(cfg: CliConfig) -> int:
     ok = True
     print("closed-form exponential vs series oracle")
     for cid in CLASS_IDS:
-        passed = exp_res[cid] <= cfg.tol
+        passed = exp_res[cid] <= args.tol
         ok &= passed
         print(f"  {cid:<4} max residual {exp_res[cid]:.3e}  {'pass' if passed else 'FAIL'}")
     print("classification round trip")
     for cid in CLASS_IDS:
-        passed = rt_res[cid] <= cfg.tol
+        passed = rt_res[cid] <= args.tol
         ok &= passed
         print(f"  {cid:<4} max error    {rt_res[cid]:.3e}  {'pass' if passed else 'FAIL'}")
     n_exp = len(CLASS_IDS) * len(params) ** 2 * len(coords) ** 3
     print(
         f"overall: {'PASS' if ok else 'FAIL'} "
-        f"({n_exp} exponential instances, tol {cfg.tol:g}, grid {cfg.grid})"
+        f"({n_exp} exponential instances, tol {args.tol:g}, grid {args.grid})"
     )
     return 0 if ok else 1
 
 
-def cmd_table(cfg: CliConfig) -> int:
-    a, b, c = cfg.coords
-    rows = table_rows(cfg.alpha, cfg.beta, a, b, c)
-    if cfg.fmt == "json":
+def cmd_table(args: argparse.Namespace) -> int:
+    a, b, c = args.coords
+    rows = table_rows(args.alpha, args.beta, a, b, c)
+    if args.format == "json":
         print(render_json(rows))
     else:
         print(
-            f"alpha={cfg.alpha:g} beta={cfg.beta:g}  a={a:g} b={b:g} c={c:g}"
+            f"alpha={args.alpha:g} beta={args.beta:g}  a={a:g} b={b:g} c={c:g}"
         )
         for row in rows:
             print(
@@ -324,6 +303,13 @@ def _coords(token: str) -> tuple[float, float, float]:
     return (a, b, c)
 
 
+def _tol(token: str) -> float:
+    tol = float(token)
+    if tol <= 0.0:
+        raise argparse.ArgumentTypeError("tol must be positive")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paralie",
@@ -339,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, with_format=True):
         if with_format:
             sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--tol", type=float, default=1e-12)
+        sp.add_argument("--tol", type=_tol, default=1e-12)
 
     sp = sub.add_parser("construct", help="structure constants of a class algebra")
     sp.add_argument("--class", dest="class_id", type=_class_id, required=True)
@@ -372,21 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=args.command,
-        class_id=getattr(args, "class_id", "F0"),
-        alpha=getattr(args, "alpha", 0.0),
-        beta=getattr(args, "beta", 0.0),
-        coords=getattr(args, "coords", (0.0, 0.0, 0.0)),
-        input_path=getattr(args, "input", "-"),
-        tol=args.tol,
-        fmt=getattr(args, "format", "text"),
-        oracle=getattr(args, "oracle", False),
-        grid=getattr(args, "grid", "full"),
-    )
-
-
 _DISPATCH = {
     "construct": cmd_construct,
     "classify": cmd_classify,
@@ -403,8 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except NotALieAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -15,21 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lie import StructureConstants, jacobi_defect
-from .structure import (
-    PARA_SASAKIAN_THETA0,
-    PARA_SASAKIAN_TOL,
-    ClassReport,
-    FTensor,
-    PhiBasisStructure,
-    check_structure,
-    match_class,
-    standard_structure,
-)
+from .lie import StructureConstants, jacobi_defect, structure_constants
+from .structure import ClassReport, FTensor, match_class, standard_structure
 
 JACOBI_TOL = 1e-12
 
 ConnectionCoeffs = np.ndarray  # shape (3, 3, 3), Gamma[i][j][k]
+
+_PHI = standard_structure().phi
 
 
 class NotALieAlgebraError(ValueError):
@@ -47,8 +40,10 @@ def connection_coeffs(
 
     Metric compatibility (antisymmetry in the last two slots) and
     torsion-freeness (Gamma[i][j] - Gamma[j][i] = C[i][j]) hold by
-    construction.  Rejects constants whose Jacobi defect exceeds tol.
+    construction.  Rejects non-finite or non-antisymmetric constants
+    (ValueError) and constants whose Jacobi defect exceeds tol.
     """
+    c = structure_constants(c)
     defect = jacobi_defect(c)
     if defect > tol:
         raise NotALieAlgebraError(defect)
@@ -57,27 +52,14 @@ def connection_coeffs(
     return 0.5 * (c - c_ikj - c_jki)
 
 
-def f_tensor(
-    c: StructureConstants,
-    s: PhiBasisStructure | None = None,
-    tol: float = JACOBI_TOL,
-) -> FTensor:
+def f_tensor(c: StructureConstants, tol: float = JACOBI_TOL) -> FTensor:
     """Frame components F[i][j][k] = g((nabla_{e_i} phi) e_j, e_k).
 
-    Expects an orthonormal frame; the default is the standard structure.
+    phi is that of the standard structure on the orthonormal frame.
     """
-    if s is None:
-        s = standard_structure()
-    residuals = check_structure(s, tol)
-    worst = max(residuals, key=residuals.get)
-    if residuals[worst] > tol:
-        raise ValueError(
-            f"structure fails identity {worst!r} (residual {residuals[worst]:.3e})"
-        )
     gamma = connection_coeffs(c, tol)
-    phi = s.phi
-    return np.einsum("mj,imk->ijk", phi, gamma) - np.einsum(
-        "ijm,km->ijk", gamma, phi
+    return np.einsum("mj,imk->ijk", _PHI, gamma) - np.einsum(
+        "ijm,km->ijk", gamma, _PHI
     )
 
 
@@ -85,11 +67,3 @@ def classify_manifold(c: StructureConstants, tol: float = 1e-12) -> ClassReport:
     """Classify the manifold carried by a Lie algebra with orthonormal frame."""
     return match_class(f_tensor(c), tol)
 
-
-def is_para_sasakian(report: ClassReport) -> bool:
-    """Pure F4 verdict with theta(e0) = -2 (equivalently alpha = -1)."""
-    return (
-        report.verdict == ["F4"]
-        and abs(float(report.lee.theta[0]) - PARA_SASAKIAN_THETA0)
-        <= PARA_SASAKIAN_TOL
-    )

@@ -55,11 +55,6 @@ def class_algebra(p: ClassParams) -> StructureConstants:
     return c
 
 
-def para_sasakian_algebra() -> StructureConstants:
-    """The F4 algebra at alpha = -1, the para-Sasakian instance."""
-    return class_algebra(ClassParams("F4", alpha=-1.0))
-
-
 def jacobi_defect(c: StructureConstants) -> float:
     """Max-abs violation of the Jacobi identity; 0 for genuine Lie algebras."""
     cyclic = (

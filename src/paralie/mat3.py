@@ -35,18 +35,6 @@ def vec3(components) -> Vec3:
     return v
 
 
-def identity() -> Mat3:
-    return np.eye(3)
-
-
-def zeros() -> Mat3:
-    return np.zeros((3, 3))
-
-
-def mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    return a @ b
-
-
 def trace(a: Mat3) -> float:
     return float(a[0, 0] + a[1, 1] + a[2, 2])
 

@@ -14,8 +14,9 @@ of such tensors survive, each a one- or two-parameter pattern:
     F10 : 2*alpha * x0*(y1*z1 - y2*z2)
     F11 : x0 * (beta*(y0*z1 + y1*z0) + alpha*(y0*z2 + y2*z0))
 
-F0 is the integrable case F = 0.  ``class_pattern`` builds these tensors and
-``match_class`` projects an arbitrary tensor back onto them.
+F0 is the integrable case F = 0.  The 14 (class, parameter) patterns are
+stored once, as the rows of one orthogonal basis: ``class_pattern`` combines
+two rows and ``match_class`` projects an arbitrary tensor onto all of them.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ def check_structure(s: PhiBasisStructure, tol: float = 1e-12) -> dict[str, float
     }
 
 
-def structure_passes(s: PhiBasisStructure, tol: float = 1e-12) -> bool:
-    return max(check_structure(s, tol).values()) <= tol
-
-
 @dataclass(frozen=True, eq=False)
 class LeeForms:
     """The three 1-forms contracted out of an F tensor."""
@@ -129,39 +126,47 @@ class ClassParams:
             raise ValueError("F0 requires alpha = beta = 0")
 
 
+# Support of each class pattern, read off the trilinear forms above: per
+# class, the (i, j, k): weight cells of the alpha part, then of the beta part.
+_SUPPORT = {
+    "F1": ({(1, 1, 1): 2, (1, 2, 2): -2}, {(2, 1, 1): 2, (2, 2, 2): -2}),
+    "F4": ({(1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 2): 1, (2, 2, 0): 1}, {}),
+    "F5": ({(1, 0, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (2, 1, 0): 1}, {}),
+    "F8": ({(1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 2): -1, (2, 2, 0): -1}, {}),
+    "F9": ({(1, 0, 2): 1, (1, 2, 0): 1, (2, 0, 1): -1, (2, 1, 0): -1}, {}),
+    "F10": ({(0, 1, 1): 2, (0, 2, 2): -2}, {}),
+    "F11": ({(0, 0, 2): 1, (0, 2, 0): 1}, {(0, 0, 1): 1, (0, 1, 0): 1}),
+}
+
+
+def _basis() -> np.ndarray:
+    """Rows 2n and 2n+1: the alpha and beta patterns of CLASS_IDS[n], flat."""
+    rows = [cells for cid in CLASS_IDS for cells in _SUPPORT[cid]]
+    basis = np.zeros((len(rows), 3, 3, 3))
+    for row, cells in enumerate(rows):
+        for ijk, weight in cells.items():
+            basis[row][ijk] = weight
+    return basis.reshape(len(rows), 27)
+
+
+# The rows are mutually orthogonal, so a parameter is the projection onto its
+# row over the row's squared norm.  The one-parameter classes' beta rows are
+# zero; clamping their norm to 1 makes them project to 0.
+_BASIS = _basis()
+_NORM_SQ = np.maximum(np.sum(_BASIS**2, axis=1), 1.0)
+
+
 def class_pattern(p: ClassParams) -> FTensor:
     """Full 27-component tensor of a basic-class pattern.
 
-    Evaluates the trilinear form of the class on all frame triples.  The
-    parameters enter through theta_1 = 2*alpha, theta_2 = -2*beta (F1),
+    The parameters enter through theta_1 = 2*alpha, theta_2 = -2*beta (F1),
     theta_0 = 2*alpha (F4), theta*_0 = 2*alpha (F5), lambda = alpha (F8),
     mu = alpha (F9), nu = 2*alpha (F10) and omega = (0, beta, alpha) (F11).
     """
-    al, bt = p.alpha, p.beta
-    forms = {
-        "F0": lambda x, y, z: 0.0,
-        "F1": lambda x, y, z: (2 * al * x[1] + 2 * bt * x[2])
-        * (y[1] * z[1] - y[2] * z[2]),
-        "F4": lambda x, y, z: al
-        * (x[1] * (y[0] * z[1] + y[1] * z[0]) + x[2] * (y[0] * z[2] + y[2] * z[0])),
-        "F5": lambda x, y, z: al
-        * (x[1] * (y[0] * z[2] + y[2] * z[0]) + x[2] * (y[0] * z[1] + y[1] * z[0])),
-        "F8": lambda x, y, z: al
-        * (x[1] * (y[0] * z[1] + y[1] * z[0]) - x[2] * (y[0] * z[2] + y[2] * z[0])),
-        "F9": lambda x, y, z: al
-        * (x[1] * (y[0] * z[2] + y[2] * z[0]) - x[2] * (y[0] * z[1] + y[1] * z[0])),
-        "F10": lambda x, y, z: 2 * al * x[0] * (y[1] * z[1] - y[2] * z[2]),
-        "F11": lambda x, y, z: x[0]
-        * (bt * (y[0] * z[1] + y[1] * z[0]) + al * (y[0] * z[2] + y[2] * z[0])),
-    }
-    form = forms[p.class_id]
-    e = np.eye(3)
-    f = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                f[i, j, k] = form(e[i], e[j], e[k])
-    return f
+    if p.class_id == "F0":
+        return np.zeros((3, 3, 3))
+    n = 2 * CLASS_IDS.index(p.class_id)
+    return (p.alpha * _BASIS[n] + p.beta * _BASIS[n + 1]).reshape(3, 3, 3)
 
 
 @dataclass(eq=False)
@@ -183,57 +188,27 @@ class ClassReport:
     params: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
-def _recover_params(f: FTensor) -> dict[str, tuple[float, float]]:
-    # Each class parameter is the average of its signed support components,
-    # which keeps the recovery robust to asymmetric numerical noise and
-    # splits the shared supports of F4/F8 and of F5/F9.
-    return {
-        "F1": (
-            (f[1, 1, 1] - f[1, 2, 2]) / 4.0,
-            (f[2, 1, 1] - f[2, 2, 2]) / 4.0,
-        ),
-        "F4": ((f[1, 0, 1] + f[1, 1, 0] + f[2, 0, 2] + f[2, 2, 0]) / 4.0, 0.0),
-        "F5": ((f[1, 0, 2] + f[1, 2, 0] + f[2, 0, 1] + f[2, 1, 0]) / 4.0, 0.0),
-        "F8": ((f[1, 0, 1] + f[1, 1, 0] - f[2, 0, 2] - f[2, 2, 0]) / 4.0, 0.0),
-        "F9": ((f[1, 0, 2] + f[1, 2, 0] - f[2, 0, 1] - f[2, 1, 0]) / 4.0, 0.0),
-        "F10": ((f[0, 1, 1] - f[0, 2, 2]) / 4.0, 0.0),
-        "F11": (
-            (f[0, 0, 2] + f[0, 2, 0]) / 2.0,
-            (f[0, 0, 1] + f[0, 1, 0]) / 2.0,
-        ),
-    }
-
-
 def match_class(f: FTensor, tol: float = 1e-12) -> ClassReport:
     """Decompose a tensor over the basic patterns and report the verdict.
 
-    Parameters are recovered per class, the sum of the reconstructed
-    patterns is subtracted, and the max-abs of what remains is the
-    residual.  Sums of patterns from distinct classes are decomposed
+    Every parameter is the orthogonal projection of the tensor onto one of
+    the 14 basis patterns; the max-abs of what the patterns leave over is
+    the residual.  Sums of patterns from distinct classes are decomposed
     exactly; anything outside their span is flagged "unclassified".
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    f = np.asarray(f, dtype=float)
-    params = _recover_params(f)
+    f = ftensor(f)
+    coef = _BASIS @ f.reshape(27) / _NORM_SQ
+    residual = max_abs(f.reshape(27) - coef @ _BASIS)
+    params = dict(zip(CLASS_IDS, map(tuple, coef.reshape(-1, 2).tolist())))
+    size = {cid: max(abs(a), abs(b)) for cid, (a, b) in params.items()}
 
-    recon = np.zeros((3, 3, 3))
-    for cid, (al, bt) in params.items():
-        recon += class_pattern(ClassParams(cid, al, bt))
-    residual = max_abs(f - recon)
-
-    detected = [
-        cid for cid in CLASS_IDS if max(abs(params[cid][0]), abs(params[cid][1])) > tol
-    ]
+    detected = [cid for cid in CLASS_IDS if size[cid] > tol]
     verdict = detected if detected else ["F0"]
     if residual > tol:
         verdict = verdict + ["unclassified"]
-
-    if detected:
-        dominant = max(detected, key=lambda cid: max(abs(params[cid][0]), abs(params[cid][1])))
-        alpha, beta = params[dominant]
-    else:
-        alpha, beta = 0.0, 0.0
+    alpha, beta = params[max(detected, key=size.get)] if detected else (0.0, 0.0)
 
     lee = lee_forms(f)
     para_sasakian = (
@@ -242,12 +217,12 @@ def match_class(f: FTensor, tol: float = 1e-12) -> ClassReport:
     )
     return ClassReport(
         verdict=verdict,
-        alpha=float(alpha),
-        beta=float(beta),
+        alpha=alpha,
+        beta=beta,
         residual=residual,
         lee=lee,
         para_sasakian=para_sasakian,
-        params={cid: (float(a), float(b)) for cid, (a, b) in params.items()},
+        params=params,
     )
 
 
@@ -273,21 +248,17 @@ def class_params_from_json(obj: dict) -> ClassParams:
     return ClassParams(cid, float(obj.get("alpha", 0.0)), float(obj.get("beta", 0.0)))
 
 
-def lee_forms_to_json(lee: LeeForms) -> dict:
-    return {
-        "theta": lee.theta.tolist(),
-        "theta_star": lee.theta_star.tolist(),
-        "omega": lee.omega.tolist(),
-    }
-
-
 def report_to_json(report: ClassReport) -> dict:
     return {
         "verdict": list(report.verdict),
         "alpha": report.alpha,
         "beta": report.beta,
         "residual": report.residual,
-        "lee": lee_forms_to_json(report.lee),
+        "lee": {
+            "theta": report.lee.theta.tolist(),
+            "theta_star": report.lee.theta_star.tolist(),
+            "omega": report.lee.omega.tolist(),
+        },
         "para_sasakian": report.para_sasakian,
         "classes": {
             cid: {"alpha": a, "beta": b}

@@ -8,15 +8,13 @@ from paralie.levicivita import (
     classify_manifold,
     connection_coeffs,
     f_tensor,
-    is_para_sasakian,
 )
-from paralie.lie import class_algebra, para_sasakian_algebra
+from paralie.lie import class_algebra
 from paralie.structure import (
     CLASS_IDS,
     TWO_PARAMETER_CLASSES,
     ClassParams,
     class_pattern,
-    standard_structure,
 )
 
 PARAM_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
@@ -75,6 +73,18 @@ def test_connection_rejects_non_lie_constants():
     assert excinfo.value.defect > 0.0
 
 
+def test_connection_rejects_invalid_constants():
+    one_sided = np.zeros((3, 3, 3))
+    one_sided[0, 1, 2] = 1.0  # [E0,E1] set without [E1,E0]
+    non_finite = np.zeros((3, 3, 3))
+    non_finite[0, 1, 2], non_finite[1, 0, 2] = np.nan, np.nan
+    for c in (one_sided, non_finite):
+        for call in (connection_coeffs, classify_manifold):
+            with pytest.raises(ValueError) as excinfo:
+                call(c)
+            assert not isinstance(excinfo.value, NotALieAlgebraError)
+
+
 # --- derived tensor ----------------------------------------------------------
 
 
@@ -98,13 +108,6 @@ def test_f_tensor_equals_pattern(cid):
     for alpha, beta in grid_params(cid):
         p = ClassParams(cid, alpha, beta)
         assert np.array_equal(f_tensor(class_algebra(p)), class_pattern(p)), p
-
-
-def test_f_tensor_rejects_bad_structure():
-    s = standard_structure()
-    bad = type(s)(phi=np.eye(3), xi=s.xi, eta=s.eta, g=s.g)
-    with pytest.raises(ValueError):
-        f_tensor(np.zeros((3, 3, 3)), bad)
 
 
 # --- classification ----------------------------------------------------------
@@ -179,7 +182,7 @@ def test_classify_propagates_jacobi_failure():
 
 
 def test_is_para_sasakian():
-    assert is_para_sasakian(classify_manifold(para_sasakian_algebra()))
-    assert not is_para_sasakian(classify_manifold(class_algebra(ClassParams("F4", 1.0))))
-    assert not is_para_sasakian(classify_manifold(np.zeros((3, 3, 3))))
-    assert not is_para_sasakian(classify_manifold(class_algebra(ClassParams("F8", -1.0))))
+    assert classify_manifold(class_algebra(ClassParams("F4", -1.0))).para_sasakian
+    assert not classify_manifold(class_algebra(ClassParams("F4", 1.0))).para_sasakian
+    assert not classify_manifold(np.zeros((3, 3, 3))).para_sasakian
+    assert not classify_manifold(class_algebra(ClassParams("F8", -1.0))).para_sasakian

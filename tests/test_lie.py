@@ -12,7 +12,6 @@ from paralie.lie import (
     constants_from_json,
     constants_to_json,
     jacobi_defect,
-    para_sasakian_algebra,
     structure_constants,
 )
 from paralie.mat3 import annihilator, trace, trace_sq
@@ -80,15 +79,6 @@ def test_class_algebra_f5():
     c = class_algebra(ClassParams("F5", 1.0))
     assert c[0, 1, 1] == 1.0
     assert c[0, 2, 2] == 1.0
-
-
-def test_para_sasakian_algebra():
-    c = para_sasakian_algebra()
-    assert np.array_equal(c, class_algebra(ClassParams("F4", -1.0)))
-    assert c[0, 1, 2] == -1.0
-    assert c[0, 2, 1] == -1.0
-    assert np.array_equal(c[1, 2], np.zeros(3))
-    assert jacobi_defect(c) == 0.0
 
 
 def test_antisymmetry_everywhere():

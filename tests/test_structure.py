@@ -19,7 +19,6 @@ from paralie.structure import (
     lee_forms,
     match_class,
     standard_structure,
-    structure_passes,
 )
 
 PARAM_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
@@ -56,7 +55,6 @@ def test_standard_structure_passes_all_checks():
         "metric_compat",
     }
     assert all(v == 0.0 for v in residuals.values())
-    assert structure_passes(standard_structure(), 1e-14)
 
 
 def test_check_structure_flags_traceful_phi():
@@ -69,7 +67,6 @@ def test_check_structure_flags_incompatible_metric():
     s = standard_structure()
     bad = type(s)(phi=s.phi, xi=s.xi, eta=s.eta, g=np.diag([1.0, 2.0, 1.0]))
     assert check_structure(bad)["metric_compat"] == 1.0
-    assert not structure_passes(bad)
 
 
 # --- Lee forms ---------------------------------------------------------------
@@ -207,6 +204,41 @@ def test_match_decomposes_two_class_sums(first, second):
     assert report.params[first] == pytest.approx((pa.alpha, pa.beta), abs=1e-13)
     assert report.params[second] == pytest.approx((pb.alpha, pb.beta), abs=1e-13)
     assert report.residual <= 1e-12
+
+
+def test_basis_orthogonal_and_all_seven_recovered():
+    # the 14 (class, parameter) unit patterns; one-parameter classes have a zero beta row
+    rows = np.array(
+        [
+            class_pattern(ClassParams(cid, alpha, beta)).ravel()
+            for cid in CLASS_IDS
+            for alpha, beta in ((1.0, 0.0), (0.0, float(cid in TWO_PARAMETER_CLASSES)))
+        ]
+    )
+    gram = rows @ rows.T
+    assert np.array_equal(np.diag(gram), [8, 8, 4, 0, 4, 0, 4, 0, 4, 0, 8, 0, 2, 2])
+    assert np.array_equal(gram - np.diag(np.diag(gram)), np.zeros((14, 14)))
+
+    rng = np.random.default_rng(7)
+    values = rng.permutation(np.linspace(0.25, 2.0, 14)) * rng.choice((-1.0, 1.0), 14)
+    truth = {
+        cid: (values[2 * n], values[2 * n + 1] if cid in TWO_PARAMETER_CLASSES else 0.0)
+        for n, cid in enumerate(CLASS_IDS)
+    }
+    f = sum(class_pattern(ClassParams(cid, *ab)) for cid, ab in truth.items())
+    scale = np.max(np.abs(f))
+    report = match_class(f, 1e-12)
+    assert report.verdict == list(CLASS_IDS)
+    for cid, ab in truth.items():
+        assert report.params[cid] == pytest.approx(ab, rel=0, abs=1e-15 * scale), cid
+    assert report.residual <= 1e-15 * scale
+
+
+def test_match_rejects_non_finite():
+    f = np.zeros((3, 3, 3))
+    f[0, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        match_class(f)
 
 
 @given(
