@@ -47,6 +47,13 @@ class ExpResult:
     oracle_residual: Optional[float] = None
 
 
+def _finite(x: float) -> float:
+    # a trace of A or A^2 beyond double range leaves t and u undefined
+    if not math.isfinite(x):
+        raise OverflowError
+    return x
+
+
 def _ratio_expm1(k: float) -> float:
     # (e^k - 1)/k, stable at small k via expm1
     return math.expm1(k) / k
@@ -84,33 +91,33 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
     if not all(math.isfinite(v) for v in (a, b, c)):
         raise ValueError("coordinates must be finite")
 
-    A = adjoint_rep(class_algebra(p), a, b, c)
-
-    try:
-        if p.class_id in _TRACE_FACTOR:
-            tr = trace(A)
-            if abs(tr) > BRANCH_EPS:
-                t = _ratio_expm1(_TRACE_FACTOR[p.class_id] * tr)
-                branch = "generic"
-            else:
-                t = 1.0  # A is 2-step nilpotent here, e^A = E + A
-                branch = "trace_zero"
-            u = 0.0
-        else:
-            tsq = trace_sq(A)
-            if abs(tsq) > BRANCH_EPS:
-                z = 0.5 * tsq
-                t = _cubic_t(z)
-                u = _cubic_u(z)
-                branch = "generic"
-            else:
-                t, u = 1.0, 0.0
-                # tr A^2 = 0 forces A = 0 entirely for F8, only a*E0 = 0 otherwise
-                branch = "zero_matrix" if p.class_id == "F8" else "trA2_zero"
-    except OverflowError:  # math.expm1/sinh/cosh past double range
-        t = u = math.inf  # expA turns non-finite: one raise site, no chained traceback
-
+    # Overflow anywhere below, in numpy or in math, ends in the one raise at
+    # the end: expA turns non-finite, with no warning and no chained traceback.
     with np.errstate(over="ignore", invalid="ignore"):
+        A = adjoint_rep(class_algebra(p), a, b, c)
+        try:
+            if p.class_id in _TRACE_FACTOR:
+                tr = _finite(trace(A))
+                if abs(tr) > BRANCH_EPS:
+                    t = _ratio_expm1(_TRACE_FACTOR[p.class_id] * tr)
+                    branch = "generic"
+                else:
+                    t = 1.0  # A is 2-step nilpotent here, e^A = E + A
+                    branch = "trace_zero"
+                u = 0.0
+            else:
+                tsq = _finite(trace_sq(A))
+                if abs(tsq) > BRANCH_EPS:
+                    z = 0.5 * tsq
+                    t = _cubic_t(z)
+                    u = _cubic_u(z)
+                    branch = "generic"
+                else:
+                    t, u = 1.0, 0.0
+                    # tr A^2 = 0 forces A = 0 entirely for F8, only a*E0 = 0 otherwise
+                    branch = "zero_matrix" if p.class_id == "F8" else "trA2_zero"
+        except OverflowError:  # math.expm1/sinh/cosh, or a trace, past double range
+            t = u = math.inf
         expA = np.eye(3) + t * A + u * (A @ A)
     if not np.all(np.isfinite(expA)):
         raise ValueError("exponential overflows double precision at these parameters")

@@ -16,13 +16,29 @@ from __future__ import annotations
 import numpy as np
 
 from .lie import StructureConstants, jacobi_defect, structure_constants
-from .structure import ClassReport, FTensor, match_class, standard_structure
+from .structure import ClassReport, FTensor, _match
 
 JACOBI_TOL = 1e-12
 
 ConnectionCoeffs = np.ndarray  # shape (3, 3, 3), Gamma[i][j][k]
 
-_PHI = standard_structure().phi
+
+def _flat(i, j, k):
+    return 9 * i + 3 * j + k
+
+
+# Both linear steps are fixed index maps on the flat components, built once:
+#   Gamma = (C - C[_IKJ] - C[_JKI]) / 2      (Koszul)
+#   F     = G[_PHI_J] - G[_PHI_K]            (nabla phi)
+# where G is Gamma with one zero appended.  phi of the standard structure
+# swaps e1 and e2 (j -> 3 - j) and kills e0, whose components all read that
+# zero.  Gathers keep the rounding of the contractions they replace.
+_I, _J, _K = np.indices((3, 3, 3)).reshape(3, 27)
+_IKJ = _flat(_I, _K, _J)
+_JKI = _flat(_J, _K, _I)
+_PHI_J = np.where(_J == 0, 27, _flat(_I, 3 - _J, _K))
+_PHI_K = np.where(_K == 0, 27, _flat(_I, _J, 3 - _K))
+_ZERO = np.zeros(1)
 
 
 class NotALieAlgebraError(ValueError):
@@ -47,9 +63,14 @@ def connection_coeffs(
     defect = jacobi_defect(c)
     if defect > tol:
         raise NotALieAlgebraError(defect)
-    c_ikj = np.einsum("ikj->ijk", c)
-    c_jki = np.einsum("jki->ijk", c)
-    return 0.5 * (c - c_ikj - c_jki)
+    c = c.reshape(27)
+    return (0.5 * (c - c[_IKJ] - c[_JKI])).reshape(3, 3, 3)
+
+
+def _nabla_phi(gamma: ConnectionCoeffs) -> np.ndarray:
+    """The 27 flat components of F from those of Gamma."""
+    g = np.concatenate((gamma.reshape(27), _ZERO))
+    return g[_PHI_J] - g[_PHI_K]
 
 
 def f_tensor(c: StructureConstants, tol: float = JACOBI_TOL) -> FTensor:
@@ -57,13 +78,9 @@ def f_tensor(c: StructureConstants, tol: float = JACOBI_TOL) -> FTensor:
 
     phi is that of the standard structure on the orthonormal frame.
     """
-    gamma = connection_coeffs(c, tol)
-    return np.einsum("mj,imk->ijk", _PHI, gamma) - np.einsum(
-        "ijm,km->ijk", gamma, _PHI
-    )
+    return _nabla_phi(connection_coeffs(c, tol)).reshape(3, 3, 3)
 
 
 def classify_manifold(c: StructureConstants, tol: float = 1e-12) -> ClassReport:
     """Classify the manifold carried by a Lie algebra with orthonormal frame."""
-    return match_class(f_tensor(c), tol)
-
+    return _match(_nabla_phi(connection_coeffs(c)), tol)

@@ -17,20 +17,32 @@ algebra element a*E0 + b*E1 + c*E2 is A[j][k] = -(a*C_0jk + b*C_1jk + c*C_2jk).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .mat3 import Mat3, Vec3
+from .mat3 import Mat3, Vec3, max_abs
 from .structure import ClassParams
 
 StructureConstants = np.ndarray  # shape (3, 3, 3), C[i][j][k]
+
+# Flat index maps, built once: C[_JIK] swaps the first two slots of
+# C[i][j][k]; T[_JKI] and T[_KIJ] shift the first three slots of T[i][j][k][m]
+# cyclically.
+_IJK = np.indices((3, 3, 3)).reshape(3, 27)
+_IJKM = np.indices((3, 3, 3, 3)).reshape(4, 81)
+_JIK = np.ravel_multi_index(_IJK[[1, 0, 2]], (3, 3, 3))
+_JKI = np.ravel_multi_index(_IJKM[[1, 2, 0, 3]], (3, 3, 3, 3))
+_KIJ = np.ravel_multi_index(_IJKM[[2, 0, 1, 3]], (3, 3, 3, 3))
 
 
 def structure_constants(components) -> StructureConstants:
     """Validate a 3x3x3 array of bracket coefficients (antisymmetry included)."""
     c = np.asarray(components, dtype=float).reshape(3, 3, 3)
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("structure constants must be finite")
-    if np.max(np.abs(c + c.transpose(1, 0, 2))) != 0.0:
+    flat = c.reshape(27)
+    if (flat + flat[_JIK]).any():
         raise ValueError("structure constants must be antisymmetric in (i, j)")
     return c
 
@@ -56,13 +68,26 @@ def class_algebra(p: ClassParams) -> StructureConstants:
 
 
 def jacobi_defect(c: StructureConstants) -> float:
-    """Max-abs violation of the Jacobi identity; 0 for genuine Lie algebras."""
-    cyclic = (
-        np.einsum("ijl,lkm->ijkm", c, c)
-        + np.einsum("jkl,lim->ijkm", c, c)
-        + np.einsum("kil,ljm->ijkm", c, c)
-    )
-    return float(np.max(np.abs(cyclic)))
+    """Max-abs violation of the Jacobi identity; 0 for genuine Lie algebras.
+
+    T[i,j,k,m] = C_ij^l C_lk^m is one (9, 3) @ (3, 9) product and the
+    identity sums its three cyclic shifts in (i, j, k).  The product runs on
+    C scaled by a power of two to max-abs in [1/2, 1), so it cannot
+    overflow, and is scaled back exactly; a defect beyond double range comes
+    out as inf, never NaN.
+    """
+    e = math.frexp(max_abs(c))[1]
+    cs = np.ldexp(c, -e)
+    t = (cs.reshape(9, 3) @ cs.reshape(3, 9)).reshape(81)
+    return _ldexp(max_abs(t + t[_JKI] + t[_KIJ]), 2 * e)
+
+
+def _ldexp(x: float, e: int) -> float:
+    # math.ldexp raises OverflowError past double range; inf instead
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def bracket(c: StructureConstants, x: Vec3, y: Vec3) -> Vec3:

@@ -46,7 +46,7 @@ def trace_sq(a: Mat3) -> float:
 
 def max_abs(a) -> float:
     """Max-abs entry, the norm used for every tolerance in this package."""
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:

@@ -21,6 +21,7 @@ two rows and ``match_class`` projects an arbitrary tensor onto all of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,11 +103,8 @@ def lee_forms(f: FTensor) -> LeeForms:
     theta* = (F120 + F210, -F222, -F111)
     omega  = (0, F001, F002)
     """
-    return LeeForms(
-        theta=vec3([f[1, 1, 0] + f[2, 2, 0], f[1, 1, 1], f[2, 2, 2]]) + 0.0,
-        theta_star=vec3([f[1, 2, 0] + f[2, 1, 0], -f[2, 2, 2], -f[1, 1, 1]]) + 0.0,
-        omega=vec3([0.0, f[0, 0, 1], f[0, 0, 2]]) + 0.0,
-    )
+    theta, theta_star, omega = (_LEE @ np.reshape(f, 27) + 0.0).reshape(3, 3)
+    return LeeForms(theta=theta, theta_star=theta_star, omega=omega)
 
 
 @dataclass(frozen=True)
@@ -139,20 +137,31 @@ _SUPPORT = {
 }
 
 
-def _basis() -> np.ndarray:
-    """Rows 2n and 2n+1: the alpha and beta patterns of CLASS_IDS[n], flat."""
-    rows = [cells for cid in CLASS_IDS for cells in _SUPPORT[cid]]
-    basis = np.zeros((len(rows), 3, 3, 3))
+# Cells of the Lee forms' nine components (theta, theta*, omega), read off
+# lee_forms' docstring.
+_LEE_CELLS = (
+    {(1, 1, 0): 1, (2, 2, 0): 1}, {(1, 1, 1): 1}, {(2, 2, 2): 1},
+    {(1, 2, 0): 1, (2, 1, 0): 1}, {(2, 2, 2): -1}, {(1, 1, 1): -1},
+    {}, {(0, 0, 1): 1}, {(0, 0, 2): 1},
+)
+
+
+def _dense(rows) -> np.ndarray:
+    """One flat 27-component row per {(i, j, k): weight} dict."""
+    out = np.zeros((len(rows), 3, 3, 3))
     for row, cells in enumerate(rows):
         for ijk, weight in cells.items():
-            basis[row][ijk] = weight
-    return basis.reshape(len(rows), 27)
+            out[row][ijk] = weight
+    return out.reshape(len(rows), 27)
 
 
-# The rows are mutually orthogonal, so a parameter is the projection onto its
-# row over the row's squared norm.  The one-parameter classes' beta rows are
-# zero; clamping their norm to 1 makes them project to 0.
-_BASIS = _basis()
+_LEE = _dense(_LEE_CELLS)
+
+# Rows 2n and 2n+1: the alpha and beta patterns of CLASS_IDS[n].  The rows
+# are mutually orthogonal, so a parameter is the projection onto its row over
+# the row's squared norm.  The one-parameter classes' beta rows are zero;
+# clamping their norm to 1 makes them project to 0.
+_BASIS = _dense([cells for cid in CLASS_IDS for cells in _SUPPORT[cid]])
 _NORM_SQ = np.maximum(np.sum(_BASIS**2, axis=1), 1.0)
 
 
@@ -196,11 +205,21 @@ def match_class(f: FTensor, tol: float = 1e-12) -> ClassReport:
     the residual.  Sums of patterns from distinct classes are decomposed
     exactly; anything outside their span is flagged "unclassified".
     """
+    return _match(ftensor(f).reshape(27), tol)
+
+
+def _match(f: np.ndarray, tol: float) -> ClassReport:
+    """match_class on the 27 flat components of a tensor, unvalidated.
+
+    A non-finite component makes the residual NaN, as does a projection
+    that overflows; either raises ValueError.
+    """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    f = ftensor(f)
-    coef = _BASIS @ f.reshape(27) / _NORM_SQ
-    residual = max_abs(f.reshape(27) - coef @ _BASIS)
+    coef = _BASIS @ f / _NORM_SQ
+    residual = max_abs(f - coef @ _BASIS)
+    if not math.isfinite(residual):
+        raise ValueError("tensor components overflow double precision")
     params = dict(zip(CLASS_IDS, map(tuple, coef.reshape(-1, 2).tolist())))
     size = {cid: max(abs(a), abs(b)) for cid, (a, b) in params.items()}
 

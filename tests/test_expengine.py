@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ def test_rejects_overflowing_parameters():
     for p, coords in cases:
         with pytest.raises(ValueError, match="overflows double precision"):
             closed_form(p, *coords)
+
+
+@pytest.mark.parametrize("cid", CLASS_IDS)
+def test_overflow_raises_without_warning(cid):
+    # tr A^2 (or tr A) itself overflows: the documented ValueError, no
+    # numpy RuntimeWarning and no math domain error
+    for alpha, coords in ((1.0, (1e200,) * 3), (1e200, (1e200,) * 3), (1.0, (-1e308,) * 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows double precision"):
+                closed_form(ClassParams(cid, alpha, alpha), *coords)
 
 
 # --- oracle agreement ------------------------------------------------------------

@@ -3,18 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
+from paralie import levicivita, structure
 from paralie.levicivita import (
     NotALieAlgebraError,
     classify_manifold,
     connection_coeffs,
     f_tensor,
 )
-from paralie.lie import class_algebra
+from paralie.lie import class_algebra, structure_constants
 from paralie.structure import (
     CLASS_IDS,
     TWO_PARAMETER_CLASSES,
     ClassParams,
     class_pattern,
+    standard_structure,
 )
 
 PARAM_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
@@ -25,6 +27,13 @@ def koszul_brute(c):
     for i, j, k in itertools.product(range(3), repeat=3):
         gamma[i, j, k] = 0.5 * (c[i, j, k] - c[i, k, j] - c[j, k, i])
     return gamma
+
+
+def f_einsum(c):
+    """Koszul and nabla-phi as contractions with phi, the reference."""
+    gamma = 0.5 * (c - np.einsum("ikj->ijk", c) - np.einsum("jki->ijk", c))
+    phi = standard_structure().phi
+    return np.einsum("mj,imk->ijk", phi, gamma) - np.einsum("ijm,km->ijk", gamma, phi)
 
 
 def grid_params(cid):
@@ -110,6 +119,23 @@ def test_f_tensor_equals_pattern(cid):
         assert np.array_equal(f_tensor(class_algebra(p)), class_pattern(p)), p
 
 
+def test_f_tensor_equals_einsum_on_pure_classes():
+    for cid in CLASS_IDS:
+        for e in range(-15, 196):
+            for sign in (1.0, -1.0):
+                beta = -sign * 10.0 ** (e - 0.5) if cid in TWO_PARAMETER_CLASSES else 0.0
+                c = class_algebra(ClassParams(cid, sign * 10.0**e, beta))
+                assert np.array_equal(f_tensor(c) + 0.0, f_einsum(c) + 0.0), (cid, e)
+
+
+def test_f_tensor_equals_einsum_on_random_constants():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        raw = rng.normal(size=(3, 3, 3)) * 10.0 ** rng.uniform(-20, 20)
+        c = raw - raw.transpose(1, 0, 2)
+        assert np.array_equal(f_tensor(c, np.inf) + 0.0, f_einsum(c) + 0.0)
+
+
 # --- classification ----------------------------------------------------------
 
 
@@ -168,6 +194,43 @@ def test_classification_scales_linearly():
         assert report.verdict == ["F1"]
         assert report.alpha == pytest.approx(scale, abs=1e-12)
         assert report.beta == pytest.approx(scale * 0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e160, 1e200])
+def test_classify_beyond_double_range(s):
+    non_lie = class_algebra(ClassParams("F1", s)) + class_algebra(ClassParams("F11", s, s))
+    with pytest.raises(NotALieAlgebraError):
+        classify_manifold(non_lie)
+    report = classify_manifold(class_algebra(ClassParams("F8", s)))
+    assert report.verdict == ["F8"]
+    assert report.alpha == pytest.approx(s, rel=1e-15)
+
+
+def test_classify_rejects_overflowing_connection():
+    # a genuine algebra whose connection coefficients leave double range
+    c = class_algebra(ClassParams("F4", 1.5e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as excinfo:
+            classify_manifold(c)
+    assert not isinstance(excinfo.value, NotALieAlgebraError)
+
+
+def test_classify_validates_once_without_einsum(monkeypatch):
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return structure_constants(c)
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("classify_manifold ran einsum or re-validated F")
+
+    monkeypatch.setattr(levicivita, "structure_constants", counting)
+    monkeypatch.setattr(structure, "ftensor", forbidden)
+    monkeypatch.setattr(np, "einsum", forbidden)
+    report = classify_manifold(class_algebra(ClassParams("F11", 0.3, -1.7)))
+    assert report.verdict == ["F11"]
+    assert len(calls) == 1
 
 
 def test_classify_propagates_jacobi_failure():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,16 @@ def jacobi_brute(c):
         )
         worst = max(worst, abs(s))
     return worst
+
+
+def jacobi_einsum(c):
+    """The three-contraction form of the cyclic sum, the reference."""
+    cyclic = (
+        np.einsum("ijl,lkm->ijkm", c, c)
+        + np.einsum("jkl,lim->ijkm", c, c)
+        + np.einsum("kil,ljm->ijkm", c, c)
+    )
+    return float(np.max(np.abs(cyclic)))
 
 
 def representation_matrix(cid, alpha, beta, a, b, c):
@@ -119,6 +130,24 @@ def test_jacobi_detects_violation():
 def test_jacobi_matches_brute_force(raw):
     c = raw - raw.transpose(1, 0, 2)
     assert jacobi_defect(c) == pytest.approx(jacobi_brute(c), abs=1e-12)
+
+
+def test_jacobi_matches_einsum_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        raw = rng.normal(size=(3, 3, 3)) * 10.0 ** rng.uniform(-100, 100)
+        c = raw - raw.transpose(1, 0, 2)
+        scale = np.max(np.abs(c)) ** 2
+        assert abs(jacobi_defect(c) - jacobi_einsum(c)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("s", [1e160, 1e200])
+def test_jacobi_defect_beyond_double_range(s):
+    # the products overflow: the defect of a non-Lie sum is inf, never NaN,
+    # and a genuine algebra at the same scale still has defect exactly 0
+    non_lie = class_algebra(ClassParams("F1", s)) + class_algebra(ClassParams("F11", s, s))
+    assert jacobi_defect(non_lie) == math.inf
+    assert jacobi_defect(class_algebra(ClassParams("F8", s))) == 0.0
 
 
 # --- bracket -----------------------------------------------------------------

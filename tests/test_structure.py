@@ -107,6 +107,18 @@ def test_lee_forms_linear(f, g):
     assert np.allclose(combined.omega, lf.omega + lg.omega, atol=1e-12)
 
 
+def test_lee_forms_match_docstring_formulas():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        f = rng.normal(size=(3, 3, 3)) * 10.0 ** rng.uniform(-10, 10)
+        lee = lee_forms(f)
+        assert np.array_equal(lee.theta, [f[1, 1, 0] + f[2, 2, 0], f[1, 1, 1], f[2, 2, 2]])
+        assert np.array_equal(lee.theta_star, [f[1, 2, 0] + f[2, 1, 0], -f[2, 2, 2], -f[1, 1, 1]])
+        assert np.array_equal(lee.omega, [0.0, f[0, 0, 1], f[0, 0, 2]])
+        for form in (lee.theta, lee.theta_star, lee.omega):
+            assert not np.signbit(form[form == 0.0]).any()  # no negative zeros
+
+
 def test_lee_forms_of_f4_pattern():
     for alpha in PARAM_GRID:
         lee = lee_forms(class_pattern(ClassParams("F4", alpha)))
@@ -239,6 +251,13 @@ def test_match_rejects_non_finite():
     f[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         match_class(f)
+
+
+def test_match_rejects_projection_overflow():
+    # finite components whose projection leaves double range
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="overflow double precision"):
+            match_class(np.full((3, 3, 3), 1e308))
 
 
 @given(
