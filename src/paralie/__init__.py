@@ -1,10 +1,9 @@
 """Three-dimensional Lie algebra families with almost paracontact almost
 paracomplex Riemannian structure: constructors, closed-form matrix group
-exponentials with branch handling, and classification through the
+exponentials by one formula per family, and classification through the
 Levi-Civita connection of the left-invariant orthonormal metric."""
 
 from .expengine import (
-    BRANCH_EPS,
     ExpResult,
     closed_form,
     exp_result_to_json,

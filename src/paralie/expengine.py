@@ -8,10 +8,12 @@ collapses the exponential series:
   * F4, F8, F9, F10:  A^3 = z A with z = tr(A^2)/2
                 ->  t = sinh(sqrt(z))/sqrt(z), u = (cosh(sqrt(z)) - 1)/z
 
-The cubic-case coefficients are entire functions of z, so z < 0 simply lands
-in the trigonometric regime (sin/cos); that is the situation for F8 and F10
-whenever their generic branch applies.  Below the degeneracy threshold the
-matrix is 2-step nilpotent (or zero for F8) and e^A = E + A exactly.
+t and u are entire in k resp. z, so each family is evaluated by one formula
+at every input.  With r = sqrt(|z|), h = r/2 and f = sinh for z > 0, sin for
+z < 0 (the trigonometric regime of F8 and F10), t = f(r)/r and
+u = (f(h)/h)^2 / 2, the half-angle form of (cosh r - 1)/z that does not
+cancel.  The one special case is the removable singularity at an exact zero:
+t = 1 at k = 0, and (t, u) = (1, 1/2) at z = 0.
 """
 
 from __future__ import annotations
@@ -26,23 +28,19 @@ from .lie import adjoint_rep, class_algebra
 from .mat3 import Mat3, trace, trace_sq
 from .structure import CLASS_IDS, ClassParams
 
-BRANCH_EPS = 1e-12  # on |tr A| resp. |tr A^2|
-
-# kappa = factor * tr(A) for the quadratic-identity classes; the remaining
+# k = factor * tr(A) for the quadratic-identity classes; the remaining
 # classes (F4, F8, F9, F10) take the cubic route
 _TRACE_FACTOR = {"F1": 1.0, "F5": 0.5, "F11": 1.0}
-
-_SMALL = 1e-4  # switch to Taylor forms below this to dodge cancellation
 
 
 @dataclass(eq=False)
 class ExpResult:
-    """One evaluated exponential: ingredients, branch taken, and the element."""
+    """One evaluated exponential: ingredients, diagnostic label, and the element."""
 
     A: Mat3
     t: float
     u: float
-    branch: str  # generic | trace_zero | trA2_zero | zero_matrix
+    branch: str  # generic, or the exact zero hit: trace_zero | trA2_zero | zero_matrix
     expA: Mat3
     oracle_residual: Optional[float] = None
 
@@ -54,30 +52,15 @@ def _finite(x: float) -> float:
     return x
 
 
-def _ratio_expm1(k: float) -> float:
-    # (e^k - 1)/k, stable at small k via expm1
-    return math.expm1(k) / k
-
-
-def _cubic_t(z: float) -> float:
-    # sinh(sqrt(z))/sqrt(z) continued through z <= 0
-    if abs(z) < _SMALL:
-        return 1.0 + z / 6.0 + z * z / 120.0 + z ** 3 / 5040.0
-    if z > 0.0:
-        r = math.sqrt(z)
-        return math.sinh(r) / r
-    th = math.sqrt(-z)
-    return math.sin(th) / th
-
-
-def _cubic_u(z: float) -> float:
-    # (cosh(sqrt(z)) - 1)/z continued through z <= 0
-    if abs(z) < _SMALL:
-        return 0.5 + z / 24.0 + z * z / 720.0 + z ** 3 / 40320.0
-    if z > 0.0:
-        return (math.cosh(math.sqrt(z)) - 1.0) / z
-    th = math.sqrt(-z)
-    return (1.0 - math.cos(th)) / (th * th)
+def _cubic(z: float) -> tuple[float, float]:
+    # (sinh(sqrt(z))/sqrt(z), (cosh(sqrt(z)) - 1)/z) continued through z <= 0
+    if z == 0.0:
+        return 1.0, 0.5
+    r = math.sqrt(abs(z))
+    h = 0.5 * r
+    f = math.sinh if z > 0.0 else math.sin
+    fh = f(h) / h
+    return f(r) / r, 0.5 * fh * fh
 
 
 def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
@@ -97,26 +80,17 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
         A = adjoint_rep(class_algebra(p), a, b, c)
         try:
             if p.class_id in _TRACE_FACTOR:
-                tr = _finite(trace(A))
-                if abs(tr) > BRANCH_EPS:
-                    t = _ratio_expm1(_TRACE_FACTOR[p.class_id] * tr)
-                    branch = "generic"
-                else:
-                    t = 1.0  # A is 2-step nilpotent here, e^A = E + A
-                    branch = "trace_zero"
+                k = _TRACE_FACTOR[p.class_id] * _finite(trace(A))
+                t = math.expm1(k) / k if k else 1.0
                 u = 0.0
+                branch = "generic" if k else "trace_zero"
             else:
-                tsq = _finite(trace_sq(A))
-                if abs(tsq) > BRANCH_EPS:
-                    z = 0.5 * tsq
-                    t = _cubic_t(z)
-                    u = _cubic_u(z)
-                    branch = "generic"
-                else:
-                    t, u = 1.0, 0.0
-                    # tr A^2 = 0 forces A = 0 entirely for F8, only a*E0 = 0 otherwise
-                    branch = "zero_matrix" if p.class_id == "F8" else "trA2_zero"
-        except OverflowError:  # math.expm1/sinh/cosh, or a trace, past double range
+                z = 0.5 * _finite(trace_sq(A))
+                t, u = _cubic(z)
+                # tr A^2 = 0 forces A = 0 entirely for F8, only a*E0 = 0 otherwise
+                zero = "zero_matrix" if p.class_id == "F8" else "trA2_zero"
+                branch = "generic" if z else zero
+        except OverflowError:  # math.expm1/sinh, or a trace, past double range
             t = u = math.inf
         expA = np.eye(3) + t * A + u * (A @ A)
     if not np.all(np.isfinite(expA)):
