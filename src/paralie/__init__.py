@@ -19,7 +19,6 @@ from .levicivita import (
 from .lie import (
     StructureConstants,
     adjoint_rep,
-    bracket,
     class_algebra,
     constants_from_json,
     constants_to_json,
@@ -27,10 +26,8 @@ from .lie import (
     structure_constants,
 )
 from .mat3 import (
-    Annihilator,
     Mat3,
     Vec3,
-    annihilator,
     expm_oracle,
     mat3,
     max_abs,

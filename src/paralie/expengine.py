@@ -32,6 +32,9 @@ from .structure import CLASS_IDS, ClassParams
 # classes (F4, F8, F9, F10) take the cubic route
 _TRACE_FACTOR = {"F1": 1.0, "F5": 0.5, "F11": 1.0}
 
+_E = np.eye(3)  # the identity, shared read-only by every call
+_E.flags.writeable = False
+
 
 @dataclass(eq=False)
 class ExpResult:
@@ -71,13 +74,14 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
     """
     if p.class_id not in CLASS_IDS:
         raise ValueError(f"closed_form is defined for {CLASS_IDS}, not {p.class_id!r}")
-    if not all(math.isfinite(v) for v in (a, b, c)):
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError("coordinates must be finite")
 
     # Overflow anywhere below, in numpy or in math, ends in the one raise at
     # the end: expA turns non-finite, with no warning and no chained traceback.
     with np.errstate(over="ignore", invalid="ignore"):
         A = adjoint_rep(class_algebra(p), a, b, c)
+        A2 = A @ A
         try:
             if p.class_id in _TRACE_FACTOR:
                 k = _TRACE_FACTOR[p.class_id] * _finite(trace(A))
@@ -87,13 +91,17 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
             else:
                 z = 0.5 * _finite(trace_sq(A))
                 t, u = _cubic(z)
-                # tr A^2 = 0 forces A = 0 entirely for F8, only a*E0 = 0 otherwise
-                zero = "zero_matrix" if p.class_id == "F8" else "trA2_zero"
-                branch = "generic" if z else zero
+                # z underflows before A does, so an exact zero is read on A:
+                # all of it for F8, otherwise the a*E0 block (rows and
+                # columns 1, 2) that carries tr A^2
+                if p.class_id == "F8":
+                    branch = "generic" if z or A.any() else "zero_matrix"
+                else:
+                    branch = "generic" if z or A[1:, 1:].any() else "trA2_zero"
         except OverflowError:  # math.expm1/sinh, or a trace, past double range
             t = u = math.inf
-        expA = np.eye(3) + t * A + u * (A @ A)
-    if not np.all(np.isfinite(expA)):
+        expA = _E + t * A + u * A2
+    if not np.isfinite(expA).all():
         raise ValueError("exponential overflows double precision at these parameters")
     return ExpResult(A=A, t=t, u=u, branch=branch, expA=expA)
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .mat3 import Mat3, Vec3, max_abs
+from .mat3 import Mat3, max_abs
 from .structure import ClassParams
 
 StructureConstants = np.ndarray  # shape (3, 3, 3), C[i][j][k]
@@ -47,24 +47,42 @@ def structure_constants(components) -> StructureConstants:
     return c
 
 
+def _entries(brackets) -> tuple[np.ndarray, np.ndarray]:
+    # flat index of each nonzero C[i][j][k] and of its mirror C[j][i][k],
+    # and which of class_algebra's values each one takes
+    flat = [9 * i + 3 * j + k for i, j, k, _ in brackets]
+    flat += [9 * j + 3 * i + k for i, j, k, _ in brackets]
+    pick = [v for *_, v in brackets] + [v ^ 1 for *_, v in brackets]
+    return np.array(flat, dtype=np.intp), np.array(pick, dtype=np.intp)
+
+
+# Per class, its brackets as (i, j, k, v): C_ij^k is entry v of
+# (alpha, -alpha, 2 alpha, -2 alpha, beta, -beta), read off the table above;
+# the mirror C_ji^k takes entry v ^ 1, its negative.
+_ENTRIES = {
+    cid: _entries(brackets)
+    for cid, brackets in {
+        "F0": [],
+        "F1": [(1, 2, 1, 0), (1, 2, 2, 4)],
+        "F4": [(0, 1, 2, 0), (0, 2, 1, 0)],
+        "F5": [(0, 1, 1, 0), (0, 2, 2, 0)],
+        "F8": [(0, 1, 2, 0), (0, 2, 1, 1), (1, 2, 0, 2)],
+        "F9": [(0, 1, 1, 0), (0, 2, 2, 1)],
+        "F10": [(0, 1, 2, 1), (0, 2, 1, 0)],
+        "F11": [(0, 1, 0, 0), (0, 2, 0, 4)],
+    }.items()
+}
+
+
 def class_algebra(p: ClassParams) -> StructureConstants:
     """Structure constants of the family labelled by p (F0 gives zeros)."""
+    flat, pick = _ENTRIES[p.class_id]
     al, bt = p.alpha, p.beta
-    brackets = {
-        "F0": [],
-        "F1": [(1, 2, 1, al), (1, 2, 2, bt)],
-        "F4": [(0, 1, 2, al), (0, 2, 1, al)],
-        "F5": [(0, 1, 1, al), (0, 2, 2, al)],
-        "F8": [(0, 1, 2, al), (0, 2, 1, -al), (1, 2, 0, 2.0 * al)],
-        "F9": [(0, 1, 1, al), (0, 2, 2, -al)],
-        "F10": [(0, 1, 2, -al), (0, 2, 1, al)],
-        "F11": [(0, 1, 0, al), (0, 2, 0, bt)],
-    }[p.class_id]
-    c = np.zeros((3, 3, 3))
-    for i, j, k, v in brackets:
-        c[i, j, k] = v
-        c[j, i, k] = -v
-    return c
+    c = np.zeros(27)
+    # the products are Python floats, so 2*alpha past double range is inf
+    # without a numpy warning
+    c[flat] = np.array((al, -al, 2.0 * al, -2.0 * al, bt, -bt))[pick]
+    return c.reshape(3, 3, 3)
 
 
 def jacobi_defect(c: StructureConstants) -> float:
@@ -90,14 +108,10 @@ def _ldexp(x: float, e: int) -> float:
         return math.inf
 
 
-def bracket(c: StructureConstants, x: Vec3, y: Vec3) -> Vec3:
-    """[x, y]^k = x^i y^j C_ij^k."""
-    return np.einsum("i,j,ijk->k", x, y, c)
-
-
 def adjoint_rep(c: StructureConstants, a: float, b: float, co: float) -> Mat3:
     """Matrix of the element with coordinates (a, b, co) on the frame."""
-    return -(a * c[0] + b * c[1] + co * c[2]) + 0.0  # + 0.0 clears negative zeros
+    # one (3,) @ (3, 9) product; + 0.0 clears negative zeros
+    return -(np.array((a, b, co)) @ c.reshape(3, 9)).reshape(3, 3) + 0.0
 
 
 # --- JSON forms ------------------------------------------------------------

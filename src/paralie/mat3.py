@@ -10,8 +10,6 @@ exponentials so it can serve as their numerical referee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,8 +38,14 @@ def trace(a: Mat3) -> float:
 
 
 def trace_sq(a: Mat3) -> float:
-    """tr(A @ A) without forming the square: sum of A[j,k] * A[k,j]."""
-    return float(np.sum(a * a.T))
+    """tr(A @ A) as the sum of A[j,k] * A[k,j], not read off a formed square.
+
+    The ndarray ``sum`` method runs the same pairwise reduction as ``np.sum``
+    without its dispatch, so the value is the same to the last bit.  The
+    diagonal of ``A @ A`` sums the same products in another order and can
+    differ from it in the last bit.
+    """
+    return float((a * a.T).sum())
 
 
 def max_abs(a) -> float:
@@ -87,49 +91,3 @@ def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
     for _ in range(squarings):
         result = result @ result
     return result.astype(float)
-
-
-@dataclass(frozen=True)
-class Annihilator:
-    """A low-degree polynomial identity satisfied by a matrix.
-
-    kind == "quadratic" means A @ A == kappa * A,
-    kind == "cubic"     means A @ A @ A == kappa * A.
-    """
-
-    kind: str
-    kappa: float
-
-
-def _fit_kappa(power: Mat3, a: Mat3, tol: float, fallback: float) -> float:
-    # Least squares for power ~ kappa * a over entries that are clearly
-    # nonzero; near the zero matrix the trace-based fallback is used.
-    mask = np.abs(a) > tol
-    if not mask.any():
-        return fallback
-    return float(np.sum(power[mask] * a[mask]) / np.sum(a[mask] ** 2))
-
-
-def annihilator(a: Mat3, tol: float = 1e-9) -> Optional[Annihilator]:
-    """Detect A^2 = kappa*A or A^3 = kappa*A, or return None.
-
-    The quadratic identity is tried first (it also covers nilpotent input
-    with kappa ~ 0).  Residuals are compared against tol scaled by the
-    matching power of the max-abs norm.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    a = np.asarray(a, dtype=float)
-    norm = max_abs(a)
-    a2 = a @ a
-
-    kappa = _fit_kappa(a2, a, tol, fallback=trace(a))
-    if max_abs(a2 - kappa * a) <= tol * (1.0 + norm ** 2):
-        return Annihilator("quadratic", kappa)
-
-    a3 = a2 @ a
-    kappa = _fit_kappa(a3, a, tol, fallback=0.5 * trace_sq(a))
-    if max_abs(a3 - kappa * a) <= tol * (1.0 + norm ** 3):
-        return Annihilator("cubic", kappa)
-
-    return None

@@ -10,8 +10,9 @@ from paralie.expengine import (
     exp_result_to_json,
     para_sasakian_group,
 )
-from paralie.mat3 import annihilator, expm_oracle, max_abs, trace
+from paralie.mat3 import expm_oracle, max_abs, trace
 from paralie.structure import CLASS_IDS, ClassParams
+from reference import annihilator
 
 QUADRATIC = ("F1", "F5", "F11")
 CUBIC = ("F4", "F8", "F9", "F10")
@@ -97,6 +98,23 @@ def test_branch_trace_zero_for_quadratic_classes():
     assert np.array_equal(res.A @ res.A, np.zeros((3, 3)))
     res = closed_form(ClassParams("F11", 1.0, 1.0), 1.0, 0.5, -0.5)
     assert res.branch == "trace_zero"
+
+
+@pytest.mark.parametrize(
+    "p,coords",
+    [
+        (ClassParams("F8", 1.0), (1e-170, 0.0, 0.0)),
+        (ClassParams("F4", 1.0), (1e-170, 1.0, 1.0)),
+    ],
+    ids=["F8", "F4"],
+)
+def test_exact_zero_labels_read_on_a_not_on_underflowed_trace(p, coords):
+    # tr A^2 underflows to 0 while the a*E0 part of A is not zero: the label
+    # says generic, and the values are those of the removable singularity
+    res = closed_form(p, *coords)
+    assert res.A[1:, 1:].any() and res.branch == "generic"
+    assert (res.t, res.u) == (1.0, 0.5)
+    assert np.array_equal(res.expA, np.eye(3) + res.A + 0.5 * (res.A @ res.A))
 
 
 def test_rejects_f0_and_non_finite():

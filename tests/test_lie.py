@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from paralie.lie import (
     adjoint_rep,
-    bracket,
     class_algebra,
     constants_from_json,
     constants_to_json,
     jacobi_defect,
     structure_constants,
 )
-from paralie.mat3 import annihilator, trace, trace_sq
+from paralie.mat3 import trace, trace_sq
 from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams
+from reference import annihilator, bracket
 
 PARAM_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 COORDS = (-2.0, -1.0, 0.0, 1.0, 2.0)
