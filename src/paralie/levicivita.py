@@ -8,7 +8,8 @@ connection coefficients are linear in the structure constants:
 
 From there the covariant derivative of phi gives the frame components of the
 classifying tensor, closing the loop: algebra -> connection -> tensor ->
-class and parameters.
+class and parameters.  Every step is linear, so classification applies the
+composite once, as a fixed matrix on the nine independent constants.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lie import StructureConstants, jacobi_defect, structure_constants
-from .structure import ClassReport, FTensor, _match
+from .structure import _BASIS, _LEE, _NORM_SQ, ClassReport, FTensor, LeeForms, _report
 
 JACOBI_TOL = 1e-12
 
@@ -38,7 +39,6 @@ _IKJ = _flat(_I, _K, _J)
 _JKI = _flat(_J, _K, _I)
 _PHI_J = np.where(_J == 0, 27, _flat(_I, 3 - _J, _K))
 _PHI_K = np.where(_K == 0, 27, _flat(_I, _J, 3 - _K))
-_ZERO = np.zeros(1)
 
 
 class NotALieAlgebraError(ValueError):
@@ -63,13 +63,17 @@ def connection_coeffs(
     defect = jacobi_defect(c)
     if defect > tol:
         raise NotALieAlgebraError(defect)
-    c = c.reshape(27)
-    return (0.5 * (c - c[_IKJ] - c[_JKI])).reshape(3, 3, 3)
+    return _koszul(c.reshape(27)).reshape(3, 3, 3)
 
 
-def _nabla_phi(gamma: ConnectionCoeffs) -> np.ndarray:
-    """The 27 flat components of F from those of Gamma."""
-    g = np.concatenate((gamma.reshape(27), _ZERO))
+def _koszul(c: np.ndarray) -> np.ndarray:
+    """Gamma from C, both as flat components along the first axis."""
+    return 0.5 * (c - c[_IKJ] - c[_JKI])
+
+
+def _nabla_phi(gamma: np.ndarray) -> np.ndarray:
+    """F from Gamma, both as flat components along the first axis."""
+    g = np.concatenate((gamma, np.zeros((1,) + gamma.shape[1:])))
     return g[_PHI_J] - g[_PHI_K]
 
 
@@ -78,9 +82,46 @@ def f_tensor(c: StructureConstants, tol: float = JACOBI_TOL) -> FTensor:
 
     phi is that of the standard structure on the orthonormal frame.
     """
-    return _nabla_phi(connection_coeffs(c, tol)).reshape(3, 3, 3)
+    return _nabla_phi(connection_coeffs(c, tol).reshape(27)).reshape(3, 3, 3)
+
+
+# Classification is linear in the nine independent constants C[i][j][k],
+# i < j, since C[j][i][k] = -C[i][j][k]: one (23, 9) map, built once by
+# running the maps above, the projection onto the patterns and the Lee
+# contraction on the unit antisymmetric constants.  Rows 0-13 are the class
+# parameters, rows 14-22 the Lee forms.  Every entry is +-1/2, +-1 or +-2,
+# at most three per row, so a pure class is recovered exactly, and each
+# row's L1 norm is at most 2, so below max|C| = 2**1023 nothing overflows.
+# F never leaves the span of the patterns here (the projection's residual
+# is identically zero on antisymmetric C), so none is computed.
+_INDEP = np.flatnonzero(_I < _J)
+_C_MAX = 2.0**1023
+
+
+def _fused_map() -> np.ndarray:
+    units = np.zeros((27, 9))  # column n: C[i][j][k] = 1 = -C[j][i][k]
+    units[_INDEP, np.arange(9)] = 1.0
+    units[_flat(_J, _I, _K)[_INDEP], np.arange(9)] = -1.0
+    f = _nabla_phi(_koszul(units))
+    return np.vstack((_BASIS @ f / _NORM_SQ[:, None], _LEE @ f))
+
+
+_CLASSIFY = _fused_map()
 
 
 def classify_manifold(c: StructureConstants, tol: float = 1e-12) -> ClassReport:
-    """Classify the manifold carried by a Lie algebra with orthonormal frame."""
-    return _match(_nabla_phi(connection_coeffs(c)), tol)
+    """Classify the manifold carried by a Lie algebra with orthonormal frame.
+
+    Constants with max|C| >= 2**1023 raise ValueError; their Lee forms can
+    leave double range.  The report's residual is 0.0: the patterns span
+    every F that an algebra induces.
+    """
+    c = structure_constants(c)
+    defect = jacobi_defect(c)
+    if defect > JACOBI_TOL:
+        raise NotALieAlgebraError(defect)
+    x = c.reshape(27)[_INDEP]
+    if max(map(abs, x.tolist())) >= _C_MAX:
+        raise ValueError("structure constants overflow double precision (max |C| >= 2**1023)")
+    y = _CLASSIFY @ x + 0.0
+    return _report(y[:14].tolist(), LeeForms(y[14:17], y[17:20], y[20:]), 0.0, tol)

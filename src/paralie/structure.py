@@ -118,7 +118,11 @@ class ClassParams:
     def __post_init__(self):
         if self.class_id not in CLASS_IDS + ("F0",):
             raise ValueError(f"unknown class id {self.class_id!r}")
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        # stored as Python floats, so arithmetic past double range gives inf
+        # rather than a numpy warning
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "beta", float(self.beta))
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("class parameters must be finite")
         if self.class_id == "F0" and (self.alpha != 0.0 or self.beta != 0.0):
             raise ValueError("F0 requires alpha = beta = 0")
@@ -184,7 +188,8 @@ class ClassReport:
 
     verdict lists the classes whose recovered parameter is significant (or
     ["F0"] when none is), with "unclassified" appended when the tensor is
-    not fully explained by the patterns.  alpha/beta are the parameters of
+    not fully explained by the patterns (never for classify_manifold, whose
+    residual is 0.0).  alpha/beta are the parameters of
     the dominant class; params holds the per-class recoveries.
     """
 
@@ -203,33 +208,32 @@ def match_class(f: FTensor, tol: float = 1e-12) -> ClassReport:
     Every parameter is the orthogonal projection of the tensor onto one of
     the 14 basis patterns; the max-abs of what the patterns leave over is
     the residual.  Sums of patterns from distinct classes are decomposed
-    exactly; anything outside their span is flagged "unclassified".
+    exactly; anything outside their span is flagged "unclassified".  A
+    projection that overflows raises ValueError.
     """
-    return _match(ftensor(f).reshape(27), tol)
-
-
-def _match(f: np.ndarray, tol: float) -> ClassReport:
-    """match_class on the 27 flat components of a tensor, unvalidated.
-
-    A non-finite component makes the residual NaN, as does a projection
-    that overflows; either raises ValueError.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    f = ftensor(f).reshape(27)
     coef = _BASIS @ f / _NORM_SQ
     residual = max_abs(f - coef @ _BASIS)
     if not math.isfinite(residual):
         raise ValueError("tensor components overflow double precision")
-    params = dict(zip(CLASS_IDS, map(tuple, coef.reshape(-1, 2).tolist())))
-    size = {cid: max(abs(a), abs(b)) for cid, (a, b) in params.items()}
+    return _report(coef.tolist(), lee_forms(f), residual, tol)
 
-    detected = [cid for cid in CLASS_IDS if size[cid] > tol]
+
+def _report(coef: list, lee: LeeForms, residual: float, tol: float) -> ClassReport:
+    """The verdict on the 14 recovered parameters, alpha then beta of each
+    class in CLASS_IDS order, and on the residual."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    params = dict(zip(CLASS_IDS, zip(coef[::2], coef[1::2])))
+    detected = [cid for cid, (a, b) in params.items() if abs(a) > tol or abs(b) > tol]
     verdict = detected if detected else ["F0"]
     if residual > tol:
         verdict = verdict + ["unclassified"]
-    alpha, beta = params[max(detected, key=size.get)] if detected else (0.0, 0.0)
+    if detected:
+        alpha, beta = params[max(detected, key=lambda cid: max(map(abs, params[cid])))]
+    else:
+        alpha, beta = 0.0, 0.0
 
-    lee = lee_forms(f)
     para_sasakian = (
         verdict == ["F4"]
         and abs(float(lee.theta[0]) - PARA_SASAKIAN_THETA0) <= PARA_SASAKIAN_TOL

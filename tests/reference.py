@@ -3,7 +3,8 @@
 ``annihilator`` detects a low-degree polynomial identity of a matrix with no
 class label, by a least-squares fit and a heuristic absolute threshold; the
 tests use it to cross-check the closed forms.  ``bracket`` is the einsum
-form of the Lie bracket.
+form of the Lie bracket.  ``classify_by_projection`` is the classification
+path that one fused linear map replaced, step by step.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from typing import Optional
 
 import numpy as np
 
+from paralie.levicivita import JACOBI_TOL, f_tensor
 from paralie.mat3 import max_abs, trace, trace_sq
+from paralie.structure import _BASIS, _NORM_SQ, CLASS_IDS, lee_forms
 
 
 @dataclass(frozen=True)
@@ -65,3 +68,30 @@ def annihilator(a, tol: float = 1e-9) -> Optional[Annihilator]:
 def bracket(c, x, y):
     """[x, y]^k = x^i y^j C_ij^k."""
     return np.einsum("i,j,ijk->k", x, y, c)
+
+
+@dataclass(frozen=True)
+class Projection:
+    """What ``classify_by_projection`` recovers from one set of constants."""
+
+    verdict: list
+    coef: np.ndarray  # (14,): alpha, beta of each class in CLASS_IDS order
+    lee: np.ndarray  # (9,): theta, theta*, omega
+    residual: float
+
+
+def classify_by_projection(c, tol: float = 1e-12, jacobi_tol: float = JACOBI_TOL) -> Projection:
+    """Gamma from C and F = nabla phi from Gamma (f_tensor), each parameter
+    the projection of F onto its basis pattern, the residual the max-abs of
+    what the patterns leave over, and the Lee forms contracted from F."""
+    f = f_tensor(c, jacobi_tol).reshape(27)
+    coef = _BASIS @ f / _NORM_SQ
+    residual = max_abs(f - coef @ _BASIS)
+    lee = lee_forms(f)
+    size = np.maximum(np.abs(coef[::2]), np.abs(coef[1::2]))
+    verdict = [cid for cid, s in zip(CLASS_IDS, size) if s > tol] or ["F0"]
+    if residual > tol:
+        verdict.append("unclassified")
+    return Projection(
+        verdict, coef, np.concatenate((lee.theta, lee.theta_star, lee.omega)), residual
+    )

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,55 @@ def test_classify_rejects_overflowing_connection():
         with pytest.raises(ValueError) as excinfo:
             classify_manifold(c)
     assert not isinstance(excinfo.value, NotALieAlgebraError)
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+def test_sums_at_large_scale_are_never_unclassified(scale):
+    # the projection's rounding residual once exceeded the absolute tol here
+    rng = np.random.default_rng(int(np.log10(scale)))
+    summands = ("F4", "F5", "F9", "F10")
+    for _ in range(300):
+        subset = sorted(rng.choice(summands, rng.integers(2, 5), replace=False),
+                        key=CLASS_IDS.index)
+        alphas = rng.choice((-1.0, 1.0), len(subset)) * scale * rng.uniform(0.1, 10, len(subset))
+        c = sum(class_algebra(ClassParams(cid, a)) for cid, a in zip(subset, alphas))
+        report = classify_manifold(c)
+        assert report.verdict == subset
+        assert report.residual == 0.0
+
+
+def test_classify_near_double_range_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (ClassParams("F4", 1.5e308), ClassParams("F11", 1e308, 1e308)):
+            with pytest.raises(ValueError, match="overflow") as excinfo:
+                classify_manifold(class_algebra(p))
+            assert not isinstance(excinfo.value, NotALieAlgebraError)
+        # below 2**1023 an algebra classifies, even where Gamma would overflow
+        report = classify_manifold(class_algebra(ClassParams("F4", 5e307)))
+    assert report.verdict == ["F4"]
+    assert report.alpha == 5e307
+    assert report.lee.theta[0] == 1e308
+
+
+def test_classify_never_warns_on_finite_antisymmetric_constants(monkeypatch):
+    # with the Jacobi check off, the map itself runs on arbitrary constants
+    # up to the largest double: either a finite report or the range error
+    monkeypatch.setattr(levicivita, "jacobi_defect", lambda c: 0.0)
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(500):
+            raw = rng.uniform(-1.0, 1.0, (3, 3, 3))
+            unit = raw - raw.transpose(1, 0, 2)
+            c = unit / np.max(np.abs(unit)) * (np.finfo(float).max / 2.0 ** rng.uniform(0, 3))
+            if np.max(np.abs(c)) >= 2.0**1023:
+                with pytest.raises(ValueError, match="overflow"):
+                    classify_manifold(c)
+                continue
+            report = classify_manifold(c)
+            assert np.isfinite([x for ab in report.params.values() for x in ab]).all()
+            assert np.isfinite(report.lee.theta).all() and np.isfinite(report.lee.omega).all()
 
 
 def test_classify_validates_once_without_einsum(monkeypatch):

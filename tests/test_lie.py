@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,17 @@ def test_class_algebra_f11():
 
 def test_class_algebra_f0_abelian():
     assert np.array_equal(class_algebra(ClassParams("F0")), np.zeros((3, 3, 3)))
+
+
+def test_class_params_store_python_floats():
+    # a numpy float64 alpha would make 2 * alpha past double range warn
+    p = ClassParams("F8", np.float64(1.5e308), np.float32(0.5))
+    assert type(p.alpha) is float and type(p.beta) is float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = class_algebra(p)
+    assert c[1, 2, 0] == math.inf
+    assert c[0, 1, 2] == 1.5e308
 
 
 def test_class_algebra_f5():
