@@ -214,10 +214,12 @@ def cmd_exp(args: argparse.Namespace) -> int:
     p = ClassParams(args.class_id, args.alpha, args.beta)
     a, b, c = args.coords
     res = closed_form(p, a, b, c)
-    if args.oracle:
-        res.oracle_residual = max_abs(res.expA - expm_oracle(res.A, 1e-15))
+    residual = max_abs(res.expA - expm_oracle(res.A, 1e-15)) if args.oracle else None
     if args.format == "json":
-        print(render_json(exp_result_to_json(res)))
+        payload = exp_result_to_json(res)
+        if args.oracle:
+            payload["oracle_residual"] = residual
+        print(render_json(payload))
     else:
         print(
             f"class {p.class_id}  alpha={p.alpha:g} beta={p.beta:g}"
@@ -231,8 +233,8 @@ def cmd_exp(args: argparse.Namespace) -> int:
         print("exp(A) =")
         print(format_matrix(res.expA))
         print(f"det(exp(A)) = {np.linalg.det(res.expA):.12g}")
-        if res.oracle_residual is not None:
-            print(f"oracle residual = {res.oracle_residual:.3e}")
+        if args.oracle:
+            print(f"oracle residual = {residual:.3e}")
     return 0
 
 
@@ -322,20 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_format=True):
-        if with_format:
-            sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--tol", type=_tol, default=1e-12)
-
     sp = sub.add_parser("construct", help="structure constants of a class algebra")
     sp.add_argument("--class", dest="class_id", type=_class_id, required=True)
     sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--beta", type=float, default=0.0)
-    common(sp)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("classify", help="classify structure constants from JSON")
     sp.add_argument("input", nargs="?", default="-", help="path or - for stdin")
-    common(sp)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.add_argument("--tol", type=_tol, default=1e-12, help="verdict threshold")
 
     sp = sub.add_parser("exp", help="closed-form exponential of a class element")
     sp.add_argument("--class", dest="class_id", type=_class_id, required=True)
@@ -343,17 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--coords", type=_coords, default=(0.0, 0.0, 0.0))
     sp.add_argument("--oracle", action="store_true", help="also report oracle residual")
-    common(sp)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("verify", help="run the verification grids")
     sp.add_argument("--grid", choices=("small", "full"), default="full")
-    common(sp, with_format=False)
+    sp.add_argument("--tol", type=_tol, default=1e-12, help="pass threshold per class")
 
     sp = sub.add_parser("table", help="numeric per-class exponential table")
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--coords", type=_coords, default=(1.0, 1.0, 1.0))
-    common(sp)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,7 +44,6 @@ class ExpResult:
     u: float
     branch: str  # generic, or the exact zero hit: trace_zero | trA2_zero | zero_matrix
     expA: Mat3
-    oracle_residual: Optional[float] = None
 
 
 def _finite(x: float) -> float:
@@ -116,13 +114,10 @@ def para_sasakian_group(a: float, b: float, c: float) -> ExpResult:
 
 
 def exp_result_to_json(res: ExpResult) -> dict:
-    out = {
+    return {
         "A": res.A.tolist(),
         "t": res.t,
         "u": res.u,
         "branch": res.branch,
         "expA": res.expA.tolist(),
     }
-    if res.oracle_residual is not None:
-        out["oracle_residual"] = res.oracle_residual
-    return out

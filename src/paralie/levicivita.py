@@ -16,17 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lie import StructureConstants, jacobi_defect, structure_constants
+from .lie import _I, _IKJ, _J, _JIK, _JKI, _K, StructureConstants, _flat
+from .lie import jacobi_defect, structure_constants
 from .structure import _BASIS, _LEE, _NORM_SQ, ClassReport, FTensor, LeeForms, _report
 
 JACOBI_TOL = 1e-12
 
 ConnectionCoeffs = np.ndarray  # shape (3, 3, 3), Gamma[i][j][k]
-
-
-def _flat(i, j, k):
-    return 9 * i + 3 * j + k
-
 
 # Both linear steps are fixed index maps on the flat components, built once:
 #   Gamma = (C - C[_IKJ] - C[_JKI]) / 2      (Koszul)
@@ -34,9 +30,6 @@ def _flat(i, j, k):
 # where G is Gamma with one zero appended.  phi of the standard structure
 # swaps e1 and e2 (j -> 3 - j) and kills e0, whose components all read that
 # zero.  Gathers keep the rounding of the contractions they replace.
-_I, _J, _K = np.indices((3, 3, 3)).reshape(3, 27)
-_IKJ = _flat(_I, _K, _J)
-_JKI = _flat(_J, _K, _I)
 _PHI_J = np.where(_J == 0, 27, _flat(_I, 3 - _J, _K))
 _PHI_K = np.where(_K == 0, 27, _flat(_I, _J, 3 - _K))
 
@@ -49,21 +42,35 @@ class NotALieAlgebraError(ValueError):
         super().__init__(f"Jacobi identity violated (defect {defect:.3e})")
 
 
-def connection_coeffs(
-    c: StructureConstants, tol: float = JACOBI_TOL
-) -> ConnectionCoeffs:
+def _lie_algebra(c: StructureConstants) -> np.ndarray:
+    """The flat components of C, once C is an algebra this package accepts.
+
+    The one check between structure constants and the geometry, shared by
+    connection_coeffs, f_tensor and classify_manifold: C must be finite and
+    antisymmetric (ValueError), pass the Jacobi check (NotALieAlgebraError)
+    and have max|C| < 2**1023 (ValueError).
+    """
+    c = structure_constants(c)
+    defect = jacobi_defect(c)
+    if defect > JACOBI_TOL:
+        raise NotALieAlgebraError(defect)
+    flat = c.reshape(27)
+    # C is antisymmetric, so its largest entry is max|C|
+    if max(flat.tolist()) >= 2.0**1023:
+        raise ValueError("structure constants overflow double precision (max |C| >= 2**1023)")
+    return flat
+
+
+def connection_coeffs(c: StructureConstants) -> ConnectionCoeffs:
     """Connection coefficients Gamma[i][j][k] = g(nabla_{e_i} e_j, e_k).
 
     Metric compatibility (antisymmetry in the last two slots) and
     torsion-freeness (Gamma[i][j] - Gamma[j][i] = C[i][j]) hold by
-    construction.  Rejects non-finite or non-antisymmetric constants
-    (ValueError) and constants whose Jacobi defect exceeds tol.
+    construction.  Constants that are not finite, not antisymmetric or
+    have max|C| >= 2**1023 raise ValueError; constants whose Jacobi defect
+    exceeds JACOBI_TOL raise NotALieAlgebraError.
     """
-    c = structure_constants(c)
-    defect = jacobi_defect(c)
-    if defect > tol:
-        raise NotALieAlgebraError(defect)
-    return _koszul(c.reshape(27)).reshape(3, 3, 3)
+    return _koszul(_lie_algebra(c)).reshape(3, 3, 3)
 
 
 def _koszul(c: np.ndarray) -> np.ndarray:
@@ -77,12 +84,13 @@ def _nabla_phi(gamma: np.ndarray) -> np.ndarray:
     return g[_PHI_J] - g[_PHI_K]
 
 
-def f_tensor(c: StructureConstants, tol: float = JACOBI_TOL) -> FTensor:
+def f_tensor(c: StructureConstants) -> FTensor:
     """Frame components F[i][j][k] = g((nabla_{e_i} phi) e_j, e_k).
 
-    phi is that of the standard structure on the orthonormal frame.
+    phi is that of the standard structure on the orthonormal frame.  C is
+    checked as in connection_coeffs.
     """
-    return _nabla_phi(connection_coeffs(c, tol).reshape(27)).reshape(3, 3, 3)
+    return _nabla_phi(_koszul(_lie_algebra(c))).reshape(3, 3, 3)
 
 
 # Classification is linear in the nine independent constants C[i][j][k],
@@ -95,13 +103,12 @@ def f_tensor(c: StructureConstants, tol: float = JACOBI_TOL) -> FTensor:
 # F never leaves the span of the patterns here (the projection's residual
 # is identically zero on antisymmetric C), so none is computed.
 _INDEP = np.flatnonzero(_I < _J)
-_C_MAX = 2.0**1023
 
 
 def _fused_map() -> np.ndarray:
     units = np.zeros((27, 9))  # column n: C[i][j][k] = 1 = -C[j][i][k]
     units[_INDEP, np.arange(9)] = 1.0
-    units[_flat(_J, _I, _K)[_INDEP], np.arange(9)] = -1.0
+    units[_JIK[_INDEP], np.arange(9)] = -1.0
     f = _nabla_phi(_koszul(units))
     return np.vstack((_BASIS @ f / _NORM_SQ[:, None], _LEE @ f))
 
@@ -112,16 +119,9 @@ _CLASSIFY = _fused_map()
 def classify_manifold(c: StructureConstants, tol: float = 1e-12) -> ClassReport:
     """Classify the manifold carried by a Lie algebra with orthonormal frame.
 
-    Constants with max|C| >= 2**1023 raise ValueError; their Lee forms can
-    leave double range.  The report's residual is 0.0: the patterns span
-    every F that an algebra induces.
+    C is checked as in connection_coeffs; tol is the verdict threshold.
+    The report's residual is 0.0: the patterns span every F that an
+    algebra induces.
     """
-    c = structure_constants(c)
-    defect = jacobi_defect(c)
-    if defect > JACOBI_TOL:
-        raise NotALieAlgebraError(defect)
-    x = c.reshape(27)[_INDEP]
-    if max(map(abs, x.tolist())) >= _C_MAX:
-        raise ValueError("structure constants overflow double precision (max |C| >= 2**1023)")
-    y = _CLASSIFY @ x + 0.0
+    y = _CLASSIFY @ _lie_algebra(c)[_INDEP] + 0.0
     return _report(y[:14].tolist(), LeeForms(y[14:17], y[17:20], y[20:]), 0.0, tol)

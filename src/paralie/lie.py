@@ -26,14 +26,20 @@ from .structure import ClassParams
 
 StructureConstants = np.ndarray  # shape (3, 3, 3), C[i][j][k]
 
-# Flat index maps, built once: C[_JIK] swaps the first two slots of
-# C[i][j][k]; T[_JKI] and T[_KIJ] shift the first three slots of T[i][j][k][m]
-# cyclically.
-_IJK = np.indices((3, 3, 3)).reshape(3, 27)
-_IJKM = np.indices((3, 3, 3, 3)).reshape(4, 81)
-_JIK = np.ravel_multi_index(_IJK[[1, 0, 2]], (3, 3, 3))
-_JKI = np.ravel_multi_index(_IJKM[[1, 2, 0, 3]], (3, 3, 3, 3))
-_KIJ = np.ravel_multi_index(_IJKM[[2, 0, 1, 3]], (3, 3, 3, 3))
+
+def _flat(i, j, k):
+    return 9 * i + 3 * j + k
+
+
+# Index maps on flat components, built once and shared with levicivita:
+# C[_JIK] is C[j][i][k], C[_IKJ] is C[i][k][j], and so on; T[_JKIM] and
+# T[_KIJM] shift T[i][j][k][m] cyclically in (i, j, k), flat for speed.
+_I, _J, _K = np.indices((3, 3, 3)).reshape(3, 27)
+_JIK = _flat(_J, _I, _K)
+_IKJ = _flat(_I, _K, _J)
+_JKI = _flat(_J, _K, _I)
+_JKIM = (3 * _JKI[:, None] + np.arange(3)).reshape(81)
+_KIJM = (3 * _flat(_K, _I, _J)[:, None] + np.arange(3)).reshape(81)
 
 
 def structure_constants(components) -> StructureConstants:
@@ -42,7 +48,8 @@ def structure_constants(components) -> StructureConstants:
     if not np.isfinite(c).all():
         raise ValueError("structure constants must be finite")
     flat = c.reshape(27)
-    if (flat + flat[_JIK]).any():
+    # compared, not added: the sum of two finite constants can overflow
+    if (flat != -flat[_JIK]).any():
         raise ValueError("structure constants must be antisymmetric in (i, j)")
     return c
 
@@ -50,8 +57,8 @@ def structure_constants(components) -> StructureConstants:
 def _entries(brackets) -> tuple[np.ndarray, np.ndarray]:
     # flat index of each nonzero C[i][j][k] and of its mirror C[j][i][k],
     # and which of class_algebra's values each one takes
-    flat = [9 * i + 3 * j + k for i, j, k, _ in brackets]
-    flat += [9 * j + 3 * i + k for i, j, k, _ in brackets]
+    flat = [_flat(i, j, k) for i, j, k, _ in brackets]
+    flat += [_flat(j, i, k) for i, j, k, _ in brackets]
     pick = [v for *_, v in brackets] + [v ^ 1 for *_, v in brackets]
     return np.array(flat, dtype=np.intp), np.array(pick, dtype=np.intp)
 
@@ -97,7 +104,7 @@ def jacobi_defect(c: StructureConstants) -> float:
     e = math.frexp(max_abs(c))[1]
     cs = np.ldexp(c, -e)
     t = (cs.reshape(9, 3) @ cs.reshape(3, 9)).reshape(81)
-    return _ldexp(max_abs(t + t[_JKI] + t[_KIJ]), 2 * e)
+    return _ldexp(max_abs(t + t[_JKIM] + t[_KIJM]), 2 * e)
 
 
 def _ldexp(x: float, e: int) -> float:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from paralie.levicivita import JACOBI_TOL, f_tensor
+from paralie.levicivita import _koszul, _nabla_phi
 from paralie.mat3 import max_abs, trace, trace_sq
 from paralie.structure import _BASIS, _NORM_SQ, CLASS_IDS, lee_forms
 
@@ -80,11 +80,12 @@ class Projection:
     residual: float
 
 
-def classify_by_projection(c, tol: float = 1e-12, jacobi_tol: float = JACOBI_TOL) -> Projection:
-    """Gamma from C and F = nabla phi from Gamma (f_tensor), each parameter
-    the projection of F onto its basis pattern, the residual the max-abs of
-    what the patterns leave over, and the Lee forms contracted from F."""
-    f = f_tensor(c, jacobi_tol).reshape(27)
+def classify_by_projection(c, tol: float = 1e-12) -> Projection:
+    """Gamma from C and F = nabla phi from Gamma (the maps of f_tensor), each
+    parameter the projection of F onto its basis pattern, the residual the
+    max-abs of what the patterns leave over, and the Lee forms contracted
+    from F.  C is taken as given: no check of any kind, Jacobi included."""
+    f = _nabla_phi(_koszul(np.asarray(c, dtype=float).reshape(27)))
     coef = _BASIS @ f / _NORM_SQ
     residual = max_abs(f - coef @ _BASIS)
     lee = lee_forms(f)

@@ -41,7 +41,7 @@ def fused(report):
 
 
 def assert_matches_reference(c, exact=False):
-    ref = classify_by_projection(c, jacobi_tol=np.inf)
+    ref = classify_by_projection(c)
     report = classify_manifold(c)
     assert report.residual == 0.0
     assert report.verdict == [v for v in ref.verdict if v != "unclassified"]
@@ -61,7 +61,7 @@ def assert_matches_reference(c, exact=False):
 def test_map_is_the_replaced_path_on_unit_constants():
     columns = []
     for n in range(9):
-        ref = classify_by_projection(unit_constants(n), jacobi_tol=np.inf)
+        ref = classify_by_projection(unit_constants(n))
         columns.append(np.concatenate((ref.coef, ref.lee)))
         # zero on a basis of antisymmetric C, so the residual is zero on all
         assert ref.residual == 0.0

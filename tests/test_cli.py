@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from paralie.cli import main, render_json, run_exp_grid, run_roundtrip_grid
 
@@ -207,6 +208,16 @@ def test_verify_unattainable_tol_fails(capsys):
 
 def test_verify_rejects_nonpositive_tol(capsys):
     code, _, _ = run_cli(capsys, "verify", "--grid", "small", "--tol", "-1")
+    assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--class", "f8"),
+    ("exp", "--class", "f8"),
+    ("table",),
+])
+def test_tol_only_on_classify_and_verify(capsys, argv):
+    code, _, _ = run_cli(capsys, *argv, "--tol", "1e-3")
     assert code == 2
 
 

@@ -303,5 +303,3 @@ def test_exp_result_json_shape():
     res = closed_form(ClassParams("F8", 1.0), 1.0, 0.0, 0.0)
     obj = exp_result_to_json(res)
     assert set(obj) == {"A", "t", "u", "branch", "expA"}
-    res.oracle_residual = 0.0
-    assert "oracle_residual" in exp_result_to_json(res)

@@ -88,11 +88,15 @@ def test_connection_rejects_invalid_constants():
     one_sided[0, 1, 2] = 1.0  # [E0,E1] set without [E1,E0]
     non_finite = np.zeros((3, 3, 3))
     non_finite[0, 1, 2], non_finite[1, 0, 2] = np.nan, np.nan
-    for c in (one_sided, non_finite):
-        for call in (connection_coeffs, classify_manifold):
-            with pytest.raises(ValueError) as excinfo:
-                call(c)
-            assert not isinstance(excinfo.value, NotALieAlgebraError)
+    symmetric_huge = np.zeros((3, 3, 3))  # C + C[j][i][k] would overflow
+    symmetric_huge[0, 1, 2], symmetric_huge[1, 0, 2] = 1e308, 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (one_sided, non_finite, symmetric_huge):
+            for call in (connection_coeffs, classify_manifold):
+                with pytest.raises(ValueError) as excinfo:
+                    call(c)
+                assert not isinstance(excinfo.value, NotALieAlgebraError)
 
 
 # --- derived tensor ----------------------------------------------------------
@@ -129,12 +133,15 @@ def test_f_tensor_equals_einsum_on_pure_classes():
                 assert np.array_equal(f_tensor(c) + 0.0, f_einsum(c) + 0.0), (cid, e)
 
 
-def test_f_tensor_equals_einsum_on_random_constants():
+def test_f_tensor_equals_einsum_on_random_constants(monkeypatch):
+    # most random constants fail the Jacobi identity; the maps are linear
+    # in C whether or not they do, so the check is switched off here
+    monkeypatch.setattr(levicivita, "jacobi_defect", lambda c: 0.0)
     rng = np.random.default_rng(3)
     for _ in range(2000):
         raw = rng.normal(size=(3, 3, 3)) * 10.0 ** rng.uniform(-20, 20)
         c = raw - raw.transpose(1, 0, 2)
-        assert np.array_equal(f_tensor(c, np.inf) + 0.0, f_einsum(c) + 0.0)
+        assert np.array_equal(f_tensor(c) + 0.0, f_einsum(c) + 0.0)
 
 
 # --- classification ----------------------------------------------------------
@@ -232,12 +239,15 @@ def test_sums_at_large_scale_are_never_unclassified(scale):
 
 
 def test_classify_near_double_range_without_warnings():
+    # one range rule for every route from C to the geometry
+    big = (ClassParams("F4", 1.5e308), ClassParams("F8", 8e307), ClassParams("F11", 1e308, 1e308))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for p in (ClassParams("F4", 1.5e308), ClassParams("F11", 1e308, 1e308)):
-            with pytest.raises(ValueError, match="overflow") as excinfo:
-                classify_manifold(class_algebra(p))
-            assert not isinstance(excinfo.value, NotALieAlgebraError)
+        for p in big:
+            for call in (connection_coeffs, f_tensor, classify_manifold):
+                with pytest.raises(ValueError, match="overflow") as excinfo:
+                    call(class_algebra(p))
+                assert not isinstance(excinfo.value, NotALieAlgebraError)
         # below 2**1023 an algebra classifies, even where Gamma would overflow
         report = classify_manifold(class_algebra(ClassParams("F4", 5e307)))
     assert report.verdict == ["F4"]
