@@ -307,7 +307,7 @@ def _coords(token: str) -> tuple[float, float, float]:
 
 def _tol(token: str) -> float:
     tol = float(token)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise argparse.ArgumentTypeError("tol must be positive")
     return tol
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .mat3 import Mat3, max_abs
+from .mat3 import Mat3
 from .structure import ClassParams
 
 StructureConstants = np.ndarray  # shape (3, 3, 3), C[i][j][k]
@@ -32,24 +32,23 @@ def _flat(i, j, k):
 
 
 # Index maps on flat components, built once and shared with levicivita:
-# C[_JIK] is C[j][i][k], C[_IKJ] is C[i][k][j], and so on; T[_JKIM] and
-# T[_KIJM] shift T[i][j][k][m] cyclically in (i, j, k), flat for speed.
+# C[_JIK] is C[j][i][k], C[_IKJ] is C[i][k][j], and so on.
 _I, _J, _K = np.indices((3, 3, 3)).reshape(3, 27)
 _JIK = _flat(_J, _I, _K)
 _IKJ = _flat(_I, _K, _J)
 _JKI = _flat(_J, _K, _I)
-_JKIM = (3 * _JKI[:, None] + np.arange(3)).reshape(81)
-_KIJM = (3 * _flat(_K, _I, _J)[:, None] + np.arange(3)).reshape(81)
+_MIRROR = _JIK.tolist()
 
 
 def structure_constants(components) -> StructureConstants:
     """Validate a 3x3x3 array of bracket coefficients (antisymmetry included)."""
     c = np.asarray(components, dtype=float).reshape(3, 3, 3)
-    if not np.isfinite(c).all():
-        raise ValueError("structure constants must be finite")
-    flat = c.reshape(27)
-    # compared, not added: the sum of two finite constants can overflow
-    if (flat != -flat[_JIK]).any():
+    v = c.reshape(27).tolist()
+    # compared, not added (a sum can overflow); a NaN fails the comparison
+    # and an inf in an antisymmetric C makes +inf its largest entry
+    if [-v[n] for n in _MIRROR] != v or max(v) == math.inf:
+        if not all(map(math.isfinite, v)):
+            raise ValueError("structure constants must be finite")
         raise ValueError("structure constants must be antisymmetric in (i, j)")
     return c
 
@@ -95,16 +94,24 @@ def class_algebra(p: ClassParams) -> StructureConstants:
 def jacobi_defect(c: StructureConstants) -> float:
     """Max-abs violation of the Jacobi identity; 0 for genuine Lie algebras.
 
-    T[i,j,k,m] = C_ij^l C_lk^m is one (9, 3) @ (3, 9) product and the
-    identity sums its three cyclic shifts in (i, j, k).  The product runs on
-    C scaled by a power of two to max-abs in [1/2, 1), so it cannot
-    overflow, and is scaled back exactly; a defect beyond double range comes
-    out as inf, never NaN.
+    C must be finite and antisymmetric, as structure_constants checks: in
+    dimension three the identity then has three components, on P = C_01,
+    Q = C_02 and R = C_12 (3-vectors in the upper index m),
+
+        J^m = (P_0 - R_2) Q_m + (P_1 + Q_2) R_m - (R_1 + Q_0) P_m,
+
+    as the cyclic sum over (i, j, k) is +-J^m for a permutation of (0, 1, 2)
+    and 0 for a repeated index.  J runs on the constants scaled by a power of
+    two to max-abs in [1/2, 1), so it cannot overflow, and is scaled back
+    exactly; a defect beyond double range comes out as inf, never NaN.
     """
-    e = math.frexp(max_abs(c))[1]
-    cs = np.ldexp(c, -e)
-    t = (cs.reshape(9, 3) @ cs.reshape(3, 9)).reshape(81)
-    return _ldexp(max_abs(t + t[_JKIM] + t[_KIJM]), 2 * e)
+    v = c.reshape(27).tolist()
+    pqr = v[3:9] + v[15:18]  # C_01, C_02, C_12 at flat 9i + 3j + m
+    e = math.frexp(max(map(abs, pqr)))[1]
+    p0, p1, p2, q0, q1, q2, r0, r1, r2 = [math.ldexp(x, -e) for x in pqr]
+    a, b, d = p0 - r2, p1 + q2, r1 + q0
+    j = (a * q0 + b * r0 - d * p0, a * q1 + b * r1 - d * p1, a * q2 + b * r2 - d * p2)
+    return _ldexp(max(map(abs, j)), 2 * e)
 
 
 def _ldexp(x: float, e: int) -> float:

@@ -74,7 +74,7 @@ def check_structure(s: PhiBasisStructure, tol: float = 1e-12) -> dict[str, float
     phi^2 = I - eta (x) xi, eta(xi) = 1, eta o phi = 0, phi xi = 0,
     tr phi = 0, and g(phi x, phi y) = g(x, y) - eta(x) eta(y).
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     phi, xi, eta, g = s.phi, s.xi, s.eta, s.g
     return {
@@ -222,31 +222,21 @@ def match_class(f: FTensor, tol: float = 1e-12) -> ClassReport:
 def _report(coef: list, lee: LeeForms, residual: float, tol: float) -> ClassReport:
     """The verdict on the 14 recovered parameters, alpha then beta of each
     class in CLASS_IDS order, and on the residual."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-    params = dict(zip(CLASS_IDS, zip(coef[::2], coef[1::2])))
-    detected = [cid for cid, (a, b) in params.items() if abs(a) > tol or abs(b) > tol]
-    verdict = detected if detected else ["F0"]
+    coefs = iter(coef)
+    params = dict(zip(CLASS_IDS, zip(coefs, coefs)))
+    # the size of each detected class, in CLASS_IDS order
+    size = {cid: max(abs(a), abs(b)) for cid, (a, b) in params.items()
+            if abs(a) > tol or abs(b) > tol}
+    verdict = list(size) or ["F0"]
     if residual > tol:
-        verdict = verdict + ["unclassified"]
-    if detected:
-        alpha, beta = params[max(detected, key=lambda cid: max(map(abs, params[cid])))]
-    else:
-        alpha, beta = 0.0, 0.0
-
-    para_sasakian = (
-        verdict == ["F4"]
-        and abs(float(lee.theta[0]) - PARA_SASAKIAN_THETA0) <= PARA_SASAKIAN_TOL
-    )
-    return ClassReport(
-        verdict=verdict,
-        alpha=alpha,
-        beta=beta,
-        residual=residual,
-        lee=lee,
-        para_sasakian=para_sasakian,
-        params=params,
-    )
+        verdict.append("unclassified")
+    # the dominant class; the first one wins a tie
+    alpha, beta = params[max(size, key=size.__getitem__)] if size else (0.0, 0.0)
+    para_sasakian = verdict == ["F4"] and (
+        abs(float(lee.theta[0]) - PARA_SASAKIAN_THETA0) <= PARA_SASAKIAN_TOL)
+    return ClassReport(verdict, alpha, beta, residual, lee, para_sasakian, params)
 
 
 # --- JSON forms ------------------------------------------------------------

@@ -4,17 +4,21 @@
 class label, by a least-squares fit and a heuristic absolute threshold; the
 tests use it to cross-check the closed forms.  ``bracket`` is the einsum
 form of the Lie bracket.  ``classify_by_projection`` is the classification
-path that one fused linear map replaced, step by step.
+path that one fused linear map replaced, step by step, and
+``jacobi_defect_matmul`` the 81-entry Jacobi defect that the three-component
+identity replaced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from paralie.levicivita import _koszul, _nabla_phi
+from paralie.lie import _I, _J, _JKI, _K, _flat, _ldexp
 from paralie.mat3 import max_abs, trace, trace_sq
 from paralie.structure import _BASIS, _NORM_SQ, CLASS_IDS, lee_forms
 
@@ -68,6 +72,26 @@ def annihilator(a, tol: float = 1e-9) -> Optional[Annihilator]:
 def bracket(c, x, y):
     """[x, y]^k = x^i y^j C_ij^k."""
     return np.einsum("i,j,ijk->k", x, y, c)
+
+
+# T[_JKIM] and T[_KIJM] shift T[i][j][k][m] cyclically in (i, j, k), flat.
+_JKIM = (3 * _JKI[:, None] + np.arange(3)).reshape(81)
+_KIJM = (3 * _flat(_K, _I, _J)[:, None] + np.arange(3)).reshape(81)
+
+
+def jacobi_defect_matmul(c) -> float:
+    """Max over all 81 cyclic sums C_ij^l C_lk^m + C_jk^l C_li^m + C_ki^l C_lj^m.
+
+    T[i,j,k,m] = C_ij^l C_lk^m is one (9, 3) @ (3, 9) product on C scaled by
+    a power of two to max-abs in [1/2, 1), and the identity sums its three
+    cyclic shifts in (i, j, k); the result is scaled back exactly, inf
+    beyond double range.
+    """
+    c = np.asarray(c, dtype=float)
+    e = math.frexp(max_abs(c))[1]
+    cs = np.ldexp(c, -e)
+    t = (cs.reshape(9, 3) @ cs.reshape(3, 9)).reshape(81)
+    return _ldexp(max_abs(t + t[_JKIM] + t[_KIJM]), 2 * e)
 
 
 @dataclass(frozen=True)

@@ -211,6 +211,20 @@ def test_verify_rejects_nonpositive_tol(capsys):
     assert code == 2
 
 
+def test_verify_rejects_nan_tol(capsys):
+    code, _, err = run_cli(capsys, "verify", "--grid", "small", "--tol", "nan")
+    assert code == 2
+    assert "tol must be positive" in err
+
+
+def test_classify_rejects_nan_tol(tmp_path, capsys):
+    path = tmp_path / "f8.json"
+    path.write_text(json.dumps({"class": "f8", "alpha": 1.0}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path), "--tol", "nan")
+    assert code == 2
+    assert "tol must be positive" in err and "verdict" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "--class", "f8"),
     ("exp", "--class", "f8"),

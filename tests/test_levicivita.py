@@ -293,6 +293,12 @@ def test_classify_validates_once_without_einsum(monkeypatch):
     assert len(calls) == 1
 
 
+def test_classify_rejects_nan_tol():
+    # every comparison with NaN is False, so a NaN tol used to report F0
+    with pytest.raises(ValueError, match="tol"):
+        classify_manifold(class_algebra(ClassParams("F8", 1.0)), tol=float("nan"))
+
+
 def test_classify_propagates_jacobi_failure():
     c = np.zeros((3, 3, 3))
     c[0, 1, 1], c[1, 0, 1] = 1.0, -1.0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from paralie.lie import (
 )
 from paralie.mat3 import trace, trace_sq
 from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams
-from reference import annihilator, bracket
+from reference import annihilator, bracket, jacobi_defect_matmul
 
 PARAM_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 COORDS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -160,6 +161,106 @@ def test_jacobi_defect_beyond_double_range(s):
     non_lie = class_algebra(ClassParams("F1", s)) + class_algebra(ClassParams("F11", s, s))
     assert jacobi_defect(non_lie) == math.inf
     assert jacobi_defect(class_algebra(ClassParams("F8", s))) == 0.0
+
+
+# --- Jacobi: the three-component identity against exact arithmetic ----------
+
+# Rounding bounds of the two defect formulas, in units of 2**-52 * max|C|**2
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3:
+# a term that passes through n roundings is off by at most gamma_n times its
+# size, gamma_n = n u / (1 - n u), u = 2**-53).
+# - Three components: J^m = a Q_m + b R_m - d P_m, where a, b and d are each
+#   one rounded sum of two constants, so every term sees at most four
+#   roundings and the error is at most gamma_4 * (|a| |Q_m| + |b| |R_m| +
+#   |d| |P_m|) <= 6 gamma_4 max|C|**2, just over 12 units.
+# - 81 entries (reference.jacobi_defect_matmul): each cyclic sum adds three
+#   3-term dot products, so each of its nine products sees at most five
+#   roundings: 9 gamma_5 max|C|**2, just over 22.5 units.
+# The power-of-two scaling is exact except where a scaled constant or the
+# result is subnormal; that adds less than 2**-1000 units, covered by the
+# margins below, plus at most 2**-1075 absolute, covered by 2**-1074.
+THREE_COMPONENT_UNITS = Fraction(25, 2)
+MATMUL_UNITS = Fraction(23)
+UNIT = Fraction(1, 2**52)
+TINY = Fraction(2) ** -1074
+
+
+def exact_jacobi(c):
+    """jacobi_brute in exact rational arithmetic, and max|C|^2."""
+    x = np.array([Fraction(v) for v in c.reshape(27).tolist()], dtype=object)
+    return Fraction(jacobi_brute(x.reshape(3, 3, 3))), max(map(abs, x)) ** 2
+
+
+def random_antisymmetric(rng, decades):
+    raw = rng.normal(size=(3, 3, 3)) * 10.0 ** rng.uniform(-decades, decades)
+    return raw - raw.transpose(1, 0, 2)
+
+
+def assert_within(got, want, bound):
+    # a defect past double range is inf: its scaled-back value reached 2**1024
+    if got == math.inf:
+        assert want + bound >= 2**1024
+    else:
+        assert abs(Fraction(got) - want) <= bound
+
+
+def test_jacobi_within_its_rounding_bound_of_exact_arithmetic():
+    rng = np.random.default_rng(29)
+    for _ in range(150):
+        c = random_antisymmetric(rng, 300)
+        c[rng.random((3, 3, 3)) < 0.15] = 0.0  # exact zeros; then antisymmetric again
+        c = c - c.transpose(1, 0, 2)
+        exact, m2 = exact_jacobi(c)
+        assert_within(jacobi_defect(c), exact, THREE_COMPONENT_UNITS * UNIT * m2 + TINY)
+        assert_within(jacobi_defect_matmul(c), exact, MATMUL_UNITS * UNIT * m2 + TINY)
+
+
+def test_jacobi_agrees_with_the_81_entry_formula():
+    # both are within their own bound of the exact defect, so within the sum
+    # of the two bounds of each other
+    rng = np.random.default_rng(31)
+    for _ in range(3000):
+        c = random_antisymmetric(rng, 300)
+        m2 = Fraction(float(np.max(np.abs(c)))) ** 2
+        bound = (THREE_COMPONENT_UNITS + MATMUL_UNITS) * UNIT * m2 + 2 * TINY
+        low, high = sorted((jacobi_defect(c), jacobi_defect_matmul(c)))
+        if low < math.inf:
+            assert_within(high, Fraction(low), bound)
+
+
+def test_jacobi_defect_inf_where_products_overflow_with_both_signs():
+    # P = C_01 = (s, s, 0), Q = C_02 = R = C_12 = (0, s, 0): J^1 = s*s + s*s - s*s,
+    # which unscaled reads inf - inf = nan; the exact defect s**2 is past
+    # double range
+    s = 1e200
+    c = np.zeros((3, 3, 3))
+    c[0, 1], c[0, 2], c[1, 2] = (s, s, 0.0), (0.0, s, 0.0), (0.0, s, 0.0)
+    c = c - c.transpose(1, 0, 2)
+    assert math.isnan(s * s + s * s - s * s)
+    assert jacobi_defect(c) == math.inf
+    assert jacobi_defect_matmul(c) == math.inf
+
+
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e3])
+def test_jacobi_on_rotated_algebras_stays_at_rounding_level(scale):
+    # Genuine algebras in 500 random orthonormal frames each: the defect is
+    # rounding from the change of frame, at most 8 units of 2**-52 *
+    # max|C|**2 (6.2 at most seen), where JACOBI_TOL is absolute
+    rng = np.random.default_rng(int(scale) + 37)
+    worst = 0.0
+    for cid in CLASS_IDS:
+        for _ in range(500):
+            o = random_rotation(rng)
+            p = ClassParams(cid, scale * rng.choice((-1.0, 1.0)), scale * rng.uniform(-1.0, 1.0))
+            c = np.einsum("ia,jb,kc,abc->ijk", o, o, o, class_algebra(p))
+            c = (c - c.transpose(1, 0, 2)) / 2
+            worst = max(worst, jacobi_defect(c) / (2.0**-52 * np.max(np.abs(c)) ** 2))
+    assert worst <= 8.0
 
 
 # --- bracket -----------------------------------------------------------------

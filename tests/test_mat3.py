@@ -84,6 +84,12 @@ def test_expm_oracle_rejects_bad_input():
         expm_oracle(np.eye(3), tol=0.0)
 
 
+def test_expm_oracle_rejects_nan_tol():
+    # tol <= 0 is False for NaN; the series would then never stop
+    with pytest.raises(ValueError, match="tol"):
+        expm_oracle(np.eye(3), tol=math.nan)
+
+
 @given(small_matrices(1.2))
 @settings(max_examples=150)
 def test_expm_inverse_identity(a):

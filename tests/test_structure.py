@@ -57,6 +57,16 @@ def test_standard_structure_passes_all_checks():
     assert all(v == 0.0 for v in residuals.values())
 
 
+def test_check_structure_rejects_nan_tol():
+    with pytest.raises(ValueError, match="tol"):
+        check_structure(standard_structure(), float("nan"))
+
+
+def test_match_rejects_nan_tol():
+    with pytest.raises(ValueError, match="tol"):
+        match_class(class_pattern(ClassParams("F8", 1.0)), tol=float("nan"))
+
+
 def test_check_structure_flags_traceful_phi():
     s = standard_structure()
     bad = type(s)(phi=np.eye(3), xi=s.xi, eta=s.eta, g=s.g)
