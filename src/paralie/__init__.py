@@ -6,7 +6,6 @@ Levi-Civita connection of the left-invariant orthonormal metric."""
 from .expengine import (
     ExpResult,
     closed_form,
-    exp_result_to_json,
     para_sasakian_group,
 )
 from .levicivita import (
@@ -20,8 +19,6 @@ from .lie import (
     StructureConstants,
     adjoint_rep,
     class_algebra,
-    constants_from_json,
-    constants_to_json,
     jacobi_defect,
     structure_constants,
 )
@@ -44,15 +41,10 @@ from .structure import (
     LeeForms,
     PhiBasisStructure,
     check_structure,
-    class_params_from_json,
-    class_params_to_json,
     class_pattern,
     ftensor,
-    ftensor_from_json,
-    ftensor_to_json,
     lee_forms,
     match_class,
-    report_to_json,
     standard_structure,
 )
 

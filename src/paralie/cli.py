@@ -1,5 +1,8 @@
 """Command-line front end: construct, classify, exp, verify, table.
 
+The JSON wire format lives here alone: one reader for classify's input and
+one writer for every command's output.
+
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 usage/parse error, 3 invalid Lie algebra (Jacobi failure).
 """
@@ -8,25 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .expengine import closed_form, exp_result_to_json
+from .expengine import closed_form
 from .levicivita import NotALieAlgebraError, classify_manifold
-from .lie import (
-    class_algebra,
-    constants_from_json,
-    constants_to_json,
-    jacobi_defect,
-)
+from .lie import StructureConstants, class_algebra, jacobi_defect, structure_constants
 from .mat3 import expm_oracle, max_abs, trace, trace_sq
-from .structure import (
-    CLASS_IDS,
-    TWO_PARAMETER_CLASSES,
-    ClassParams,
-    report_to_json,
-)
+from .structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams
 
 # Default verification grids: parameters for the families, frame coordinates
 # for the exponentials, and a denser signed grid for the classification
@@ -103,7 +97,7 @@ def table_rows(alpha: float, beta: float, a: float, b: float, c: float) -> list[
         rows.append(
             {
                 "class": cid,
-                "A": res.A.tolist(),
+                "A": res.A,
                 "trace": trace(res.A),
                 "trace_sq": trace_sq(res.A),
                 "t": res.t,
@@ -114,11 +108,36 @@ def table_rows(alpha: float, beta: float, a: float, b: float, c: float) -> list[
     return rows
 
 
-# --- output helpers ---------------------------------------------------------
+# --- JSON input and output --------------------------------------------------
+
+
+def _read_constants(path: str) -> StructureConstants:
+    """Constants from a JSON object {"C": ...} or {"class", "alpha", "beta"}."""
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("input JSON must be an object")
+    if "C" in obj:
+        return structure_constants(obj["C"])
+    if "class" in obj:
+        cid = str(obj["class"]).upper()
+        return class_algebra(
+            ClassParams(cid, float(obj.get("alpha", 0.0)), float(obj.get("beta", 0.0)))
+        )
+    raise ValueError('constants JSON must carry key "C" or key "class"')
 
 
 def render_json(value, indent: int = 0) -> str:
-    """JSON with floats at 17 significant digits for reproducibility."""
+    """JSON with floats at 17 significant digits for reproducibility.
+
+    numpy arrays are written as nested lists.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -142,6 +161,9 @@ def render_json(value, indent: int = 0) -> str:
     if value is None:
         return "null"
     return json.dumps(value)
+
+
+# --- text output ------------------------------------------------------------
 
 
 def format_matrix(m, indent: str = "  ") -> str:
@@ -170,12 +192,10 @@ def _format_brackets(c) -> list[str]:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     p = ClassParams(args.class_id, args.alpha, args.beta)
-    c = class_algebra(p)
+    c = structure_constants(class_algebra(p))
     defect = jacobi_defect(c)
     if args.format == "json":
-        payload = constants_to_json(c)
-        payload["jacobi_defect"] = defect
-        print(render_json(payload))
+        print(render_json({"C": c, "jacobi_defect": defect}))
     else:
         print(f"class {p.class_id}  alpha={p.alpha:g}  beta={p.beta:g}")
         for line in _format_brackets(c):
@@ -184,19 +204,22 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_input(path: str) -> dict:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("input JSON must be an object")
-    return obj
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
-    c = constants_from_json(_read_input(args.input))
-    report = classify_manifold(c, args.tol)
+    report = classify_manifold(_read_constants(args.input), args.tol)
     if args.format == "json":
-        print(render_json(report_to_json(report)))
+        print(render_json({
+            "verdict": report.verdict,
+            "alpha": report.alpha,
+            "beta": report.beta,
+            "residual": report.residual,
+            "lee": vars(report.lee),
+            "para_sasakian": report.para_sasakian,
+            "classes": {
+                cid: {"alpha": a, "beta": b}
+                for cid, (a, b) in report.params.items()
+                if cid in report.verdict
+            },
+        }))
     else:
         print("verdict: " + " + ".join(report.verdict))
         print(f"alpha: {report.alpha:.12g}  beta: {report.beta:.12g}")
@@ -216,7 +239,7 @@ def cmd_exp(args: argparse.Namespace) -> int:
     res = closed_form(p, a, b, c)
     residual = max_abs(res.expA - expm_oracle(res.A, 1e-15)) if args.oracle else None
     if args.format == "json":
-        payload = exp_result_to_json(res)
+        payload = dict(vars(res))
         if args.oracle:
             payload["oracle_residual"] = residual
         print(render_json(payload))
@@ -232,7 +255,9 @@ def cmd_exp(args: argparse.Namespace) -> int:
         print(format_matrix(res.A))
         print("exp(A) =")
         print(format_matrix(res.expA))
-        print(f"det(exp(A)) = {np.linalg.det(res.expA):.12g}")
+        with np.errstate(over="ignore"):  # a determinant past double range is inf
+            det = np.linalg.det(res.expA)
+        print(f"det(exp(A)) = {det:.12g}")
         if args.oracle:
             print(f"oracle residual = {residual:.3e}")
     return 0
@@ -307,7 +332,7 @@ def _coords(token: str) -> tuple[float, float, float]:
 
 def _tol(token: str) -> float:
     tol = float(token)
-    if not tol > 0.0:
+    if not 0.0 < tol < math.inf:
         raise argparse.ArgumentTypeError("tol must be positive")
     return tol
 

@@ -111,13 +111,3 @@ def para_sasakian_group(a: float, b: float, c: float) -> ExpResult:
     t = sinh|a|/|a| and u = (cosh|a| - 1)/a^2, else e^A = E + A.
     """
     return closed_form(ClassParams("F4", alpha=-1.0), a, b, c)
-
-
-def exp_result_to_json(res: ExpResult) -> dict:
-    return {
-        "A": res.A.tolist(),
-        "t": res.t,
-        "u": res.u,
-        "branch": res.branch,
-        "expA": res.expA.tolist(),
-    }

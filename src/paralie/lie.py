@@ -126,21 +126,3 @@ def adjoint_rep(c: StructureConstants, a: float, b: float, co: float) -> Mat3:
     """Matrix of the element with coordinates (a, b, co) on the frame."""
     # one (3,) @ (3, 9) product; + 0.0 clears negative zeros
     return -(np.array((a, b, co)) @ c.reshape(3, 9)).reshape(3, 3) + 0.0
-
-
-# --- JSON forms ------------------------------------------------------------
-
-
-def constants_to_json(c: StructureConstants) -> dict:
-    return {"C": np.asarray(c, dtype=float).tolist()}
-
-
-def constants_from_json(obj: dict) -> StructureConstants:
-    """Parse constants from {"C": ...} or from a class-parameter object."""
-    if "C" in obj:
-        return structure_constants(obj["C"])
-    if "class" in obj:
-        from .structure import class_params_from_json
-
-        return class_algebra(class_params_from_json(obj))
-    raise ValueError('constants JSON must carry key "C" or key "class"')

@@ -63,7 +63,7 @@ def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
     float64 result; good to roughly ``tol`` per entry for norms up to ~50,
     with the conditioning of exp itself on top.
     """
-    if not tol > 0.0:
+    if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive")
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3) or not np.all(np.isfinite(a)):

@@ -74,7 +74,7 @@ def check_structure(s: PhiBasisStructure, tol: float = 1e-12) -> dict[str, float
     phi^2 = I - eta (x) xi, eta(xi) = 1, eta o phi = 0, phi xi = 0,
     tr phi = 0, and g(phi x, phi y) = g(x, y) - eta(x) eta(y).
     """
-    if not tol > 0.0:
+    if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive")
     phi, xi, eta, g = s.phi, s.xi, s.eta, s.g
     return {
@@ -222,7 +222,7 @@ def match_class(f: FTensor, tol: float = 1e-12) -> ClassReport:
 def _report(coef: list, lee: LeeForms, residual: float, tol: float) -> ClassReport:
     """The verdict on the 14 recovered parameters, alpha then beta of each
     class in CLASS_IDS order, and on the residual."""
-    if not tol > 0.0:
+    if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive")
     coefs = iter(coef)
     params = dict(zip(CLASS_IDS, zip(coefs, coefs)))
@@ -237,45 +237,3 @@ def _report(coef: list, lee: LeeForms, residual: float, tol: float) -> ClassRepo
     para_sasakian = verdict == ["F4"] and (
         abs(float(lee.theta[0]) - PARA_SASAKIAN_THETA0) <= PARA_SASAKIAN_TOL)
     return ClassReport(verdict, alpha, beta, residual, lee, para_sasakian, params)
-
-
-# --- JSON forms ------------------------------------------------------------
-
-
-def ftensor_to_json(f: FTensor) -> dict:
-    return {"F": np.asarray(f, dtype=float).tolist()}
-
-
-def ftensor_from_json(obj: dict) -> FTensor:
-    if "F" not in obj:
-        raise ValueError('tensor JSON must carry key "F"')
-    return ftensor(obj["F"])
-
-
-def class_params_to_json(p: ClassParams) -> dict:
-    return {"class": p.class_id, "alpha": p.alpha, "beta": p.beta}
-
-
-def class_params_from_json(obj: dict) -> ClassParams:
-    cid = str(obj.get("class", "")).upper()
-    return ClassParams(cid, float(obj.get("alpha", 0.0)), float(obj.get("beta", 0.0)))
-
-
-def report_to_json(report: ClassReport) -> dict:
-    return {
-        "verdict": list(report.verdict),
-        "alpha": report.alpha,
-        "beta": report.beta,
-        "residual": report.residual,
-        "lee": {
-            "theta": report.lee.theta.tolist(),
-            "theta_star": report.lee.theta_star.tolist(),
-            "omega": report.lee.omega.tolist(),
-        },
-        "para_sasakian": report.para_sasakian,
-        "classes": {
-            cid: {"alpha": a, "beta": b}
-            for cid, (a, b) in report.params.items()
-            if cid in report.verdict
-        },
-    }

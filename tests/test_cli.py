@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from paralie.cli import main, render_json, run_exp_grid, run_roundtrip_grid
+from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +42,16 @@ def test_construct_f1_components(capsys):
     c = np.array(json.loads(out)["C"])
     assert c[1, 2, 1] == 1.0
     assert c[1, 2, 2] == -2.0
+
+
+def test_construct_refuses_constants_past_double_range(capsys):
+    # 2 * alpha in F8's [E1,E2] bracket overflows to inf
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(
+            capsys, "construct", "--class", "f8", "--alpha", "1e308", "--format", fmt
+        )
+        assert (code, out) == (2, "")
+        assert "structure constants must be finite" in err
 
 
 def test_construct_unknown_class_usage_error(capsys):
@@ -116,8 +127,6 @@ def test_classify_missing_file_exit_2(capsys):
 
 
 def test_construct_classify_json_round_trip_grid(tmp_path, capsys):
-    from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES
-
     for cid in CLASS_IDS:
         betas = ("-0.5", "2") if cid in TWO_PARAMETER_CLASSES else ("0",)
         for alpha in ("-2", "0.5", "1"):
@@ -181,6 +190,14 @@ def test_exp_para_sasakian_instance_det(capsys):
     assert "det(exp(A)) = 1" in out
 
 
+def test_exp_determinant_past_double_range_is_inf_without_warning(capsys):
+    # exp(A) is finite, its determinant e^1400 is not; a numpy warning would
+    # be raised here as an error
+    code, out, err = run_cli(capsys, "exp", "--class", "f5", "--alpha", "1", "--coords=-700,0,0")
+    assert code == 0
+    assert "det(exp(A)) = inf" in out and err == ""
+
+
 def test_exp_rejects_f0(capsys):
     code, _, _ = run_cli(capsys, "exp", "--class", "f0", "--coords", "1,0,0")
     assert code == 2
@@ -212,17 +229,19 @@ def test_verify_rejects_nonpositive_tol(capsys):
 
 
 def test_verify_rejects_nan_tol(capsys):
-    code, _, err = run_cli(capsys, "verify", "--grid", "small", "--tol", "nan")
-    assert code == 2
-    assert "tol must be positive" in err
+    for tol in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "verify", "--grid", "small", "--tol", tol)
+        assert code == 2
+        assert "tol must be positive" in err and "overall" not in out
 
 
 def test_classify_rejects_nan_tol(tmp_path, capsys):
     path = tmp_path / "f8.json"
     path.write_text(json.dumps({"class": "f8", "alpha": 1.0}), encoding="utf-8")
-    code, out, err = run_cli(capsys, "classify", str(path), "--tol", "nan")
-    assert code == 2
-    assert "tol must be positive" in err and "verdict" not in out
+    for tol in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "classify", str(path), "--tol", tol)
+        assert code == 2
+        assert "tol must be positive" in err and "verdict" not in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -278,6 +297,28 @@ def test_json_floats_round_trip_17_digits():
     assert parsed["x"] == 0.1
     assert parsed["y"] == 1.0 / 3.0
     assert parsed["z"] == [1e-12, -2.5]
+
+
+def test_every_json_output_is_strict_json(tmp_path, capsys):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    path = tmp_path / "f11.json"
+    path.write_text('{"class": "f11", "alpha": 0.3, "beta": -1.7}', encoding="utf-8")
+    classes = [cid.lower() for cid in CLASS_IDS]
+    commands = [
+        ("construct", "--class", cid, "--alpha", alpha, "--beta", "-0.5")
+        for cid in classes for alpha in ("1.5", "1e307")
+    ] + [("construct", "--class", "f0")]
+    commands += [
+        ("exp", "--class", cid, "--alpha", "0.7", "--beta", "1.3", "--coords", "1,-2,0.5", "--oracle")
+        for cid in classes
+    ]
+    commands += [("table",), ("classify", str(path))]
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        json.loads(out, parse_constant=refuse)
 
 
 def test_cli_entry_point_subprocess():

@@ -1,15 +1,13 @@
 import itertools
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from paralie.expengine import (
-    closed_form,
-    exp_result_to_json,
-    para_sasakian_group,
-)
+from paralie.cli import main
+from paralie.expengine import closed_form, para_sasakian_group
 from paralie.mat3 import expm_oracle, max_abs, trace
 from paralie.structure import CLASS_IDS, ClassParams
 from reference import annihilator
@@ -299,7 +297,12 @@ def test_closed_form_agrees_with_annihilator_reconstruction(cid):
 # --- JSON ------------------------------------------------------------------------
 
 
-def test_exp_result_json_shape():
+def test_exp_result_json_shape(capsys):
     res = closed_form(ClassParams("F8", 1.0), 1.0, 0.0, 0.0)
-    obj = exp_result_to_json(res)
-    assert set(obj) == {"A", "t", "u", "branch", "expA"}
+    argv = ["exp", "--class", "f8", "--alpha", "1", "--coords", "1,0,0", "--format", "json"]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj == {
+        "A": res.A.tolist(), "t": res.t, "u": res.u, "branch": res.branch,
+        "expA": res.expA.tolist(),
+    }

@@ -294,9 +294,11 @@ def test_classify_validates_once_without_einsum(monkeypatch):
 
 
 def test_classify_rejects_nan_tol():
-    # every comparison with NaN is False, so a NaN tol used to report F0
-    with pytest.raises(ValueError, match="tol"):
-        classify_manifold(class_algebra(ClassParams("F8", 1.0)), tol=float("nan"))
+    # every comparison with NaN is False and nothing exceeds inf, so either
+    # tol used to report F0
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            classify_manifold(class_algebra(ClassParams("F8", 1.0)), tol=tol)
 
 
 def test_classify_propagates_jacobi_failure():

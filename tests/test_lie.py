@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -8,14 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paralie.lie import (
-    adjoint_rep,
-    class_algebra,
-    constants_from_json,
-    constants_to_json,
-    jacobi_defect,
-    structure_constants,
-)
+from paralie.cli import main
+from paralie.lie import adjoint_rep, class_algebra, jacobi_defect, structure_constants
 from paralie.mat3 import trace, trace_sq
 from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams
 from reference import annihilator, bracket, jacobi_defect_matmul
@@ -352,21 +347,43 @@ def test_annihilator_kind_and_kappa(cid):
                 assert result.kappa == pytest.approx(0.5 * trace_sq(m), abs=1e-9)
 
 
-# --- JSON --------------------------------------------------------------------
+# --- JSON, read and written by the command line ------------------------------
 
 
-def test_constants_json_round_trip():
+def classify_json(tmp_path, capsys, obj):
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["classify", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_constants_json_round_trip(tmp_path, capsys):
     c = class_algebra(ClassParams("F8", -1.5))
-    assert np.array_equal(constants_from_json(constants_to_json(c)), c)
+    assert main(["construct", "--class", "f8", "--alpha", "-1.5", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert np.array_equal(np.array(obj["C"]), c)
+    code, out, _ = classify_json(tmp_path, capsys, obj)
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == ["F8"] and report["alpha"] == -1.5
 
 
-def test_constants_from_class_json():
-    c = constants_from_json({"class": "f10", "alpha": 2.0})
-    assert np.array_equal(c, class_algebra(ClassParams("F10", 2.0)))
+def test_constants_from_class_json(tmp_path, capsys):
+    by_class = classify_json(tmp_path, capsys, {"class": "f10", "alpha": 2.0})
+    by_constants = classify_json(
+        tmp_path, capsys, {"C": class_algebra(ClassParams("F10", 2.0)).tolist()}
+    )
+    assert by_class == by_constants
+    assert by_class[0] == 0 and json.loads(by_class[1])["verdict"] == ["F10"]
 
 
-def test_constants_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        constants_from_json({"D": []})
+def test_constants_json_rejects_garbage(tmp_path, capsys):
+    code, out, err = classify_json(tmp_path, capsys, {"D": []})
+    assert (code, out) == (2, "")
+    assert 'must carry key "C" or key "class"' in err
+    code, out, err = classify_json(tmp_path, capsys, {"C": np.ones((3, 3, 3)).tolist()})
+    assert (code, out) == (2, "")
+    assert "antisymmetric" in err
     with pytest.raises(ValueError):
         structure_constants(np.ones((3, 3, 3)))  # not antisymmetric

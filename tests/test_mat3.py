@@ -85,9 +85,11 @@ def test_expm_oracle_rejects_bad_input():
 
 
 def test_expm_oracle_rejects_nan_tol():
-    # tol <= 0 is False for NaN; the series would then never stop
-    with pytest.raises(ValueError, match="tol"):
-        expm_oracle(np.eye(3), tol=math.nan)
+    # tol <= 0 is False for NaN, and the series would then never stop; an
+    # infinite tol would stop it after one term
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            expm_oracle(np.eye(3), tol=tol)
 
 
 @given(small_matrices(1.2))

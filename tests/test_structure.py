@@ -1,21 +1,19 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paralie.cli import main
 from paralie.structure import (
     CLASS_IDS,
     TWO_PARAMETER_CLASSES,
     ClassParams,
     check_structure,
-    class_params_from_json,
-    class_params_to_json,
     class_pattern,
     ftensor,
-    ftensor_from_json,
-    ftensor_to_json,
     lee_forms,
     match_class,
     standard_structure,
@@ -58,13 +56,15 @@ def test_standard_structure_passes_all_checks():
 
 
 def test_check_structure_rejects_nan_tol():
-    with pytest.raises(ValueError, match="tol"):
-        check_structure(standard_structure(), float("nan"))
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            check_structure(standard_structure(), tol)
 
 
 def test_match_rejects_nan_tol():
-    with pytest.raises(ValueError, match="tol"):
-        match_class(class_pattern(ClassParams("F8", 1.0)), tol=float("nan"))
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            match_class(class_pattern(ClassParams("F8", 1.0)), tol=tol)
 
 
 def test_check_structure_flags_traceful_phi():
@@ -284,20 +284,22 @@ def test_match_round_trip_random_params(cid, alpha, beta):
     assert report.beta == pytest.approx(p.beta, abs=1e-12)
 
 
-# --- JSON --------------------------------------------------------------------
+# --- JSON, read by the command line ------------------------------------------
 
 
-def test_ftensor_json_round_trip():
-    f = class_pattern(ClassParams("F9", -0.75))
-    assert np.array_equal(ftensor_from_json(ftensor_to_json(f)), f)
-    with pytest.raises(ValueError):
-        ftensor_from_json({"no_key": []})
-
-
-def test_class_params_json_round_trip():
-    p = ClassParams("F11", 1.5, -2.5)
-    assert class_params_from_json(class_params_to_json(p)) == p
-    assert class_params_from_json({"class": "f8", "alpha": 1.0}) == ClassParams("F8", 1.0)
+def test_class_params_json_round_trip(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    for obj, (cid, alpha, beta) in [
+        ({"class": "F11", "alpha": 1.5, "beta": -2.5}, ("F11", 1.5, -2.5)),
+        ({"class": "f8", "alpha": 1.0}, ("F8", 1.0, 0.0)),
+    ]:
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["classify", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["verdict"], report["alpha"], report["beta"]) == ([cid], alpha, beta)
+    path.write_text(json.dumps({"class": "f7", "alpha": 1.0}), encoding="utf-8")
+    assert main(["classify", str(path)]) == 2
+    assert "unknown class id 'F7'" in capsys.readouterr().err
 
 
 def test_ftensor_validates():
