@@ -125,9 +125,7 @@ def _read_constants(path: str) -> StructureConstants:
         return structure_constants(obj["C"])
     if "class" in obj:
         cid = str(obj["class"]).upper()
-        return class_algebra(
-            ClassParams(cid, float(obj.get("alpha", 0.0)), float(obj.get("beta", 0.0)))
-        )
+        return class_algebra(ClassParams(cid, obj.get("alpha", 0.0), obj.get("beta", 0.0)))
     raise ValueError('constants JSON must carry key "C" or key "class"')
 
 

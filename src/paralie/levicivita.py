@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lie import _I, _IKJ, _J, _JIK, _JKI, _K, StructureConstants, _flat
-from .lie import jacobi_defect, structure_constants
+from .lie import _jacobi, _validated
 from .structure import _BASIS, _LEE, _NORM_SQ, ClassReport, FTensor, LeeForms, _report
 
 JACOBI_TOL = 1e-12
@@ -48,15 +48,15 @@ def _lie_algebra(c: StructureConstants) -> np.ndarray:
     The one check between structure constants and the geometry, shared by
     connection_coeffs, f_tensor and classify_manifold: C must be finite and
     antisymmetric (ValueError), pass the Jacobi check (NotALieAlgebraError)
-    and have max|C| < 2**1023 (ValueError).
+    and have max|C| < 2**1023 (ValueError).  C is read once: one list of
+    Python floats and one max|C| serve every check.
     """
-    c = structure_constants(c)
-    defect = jacobi_defect(c)
+    flat = np.asarray(c, dtype=float).reshape(27)
+    pqr, m = _validated(flat.tolist())
+    defect = _jacobi(pqr, m)
     if defect > JACOBI_TOL:
         raise NotALieAlgebraError(defect)
-    flat = c.reshape(27)
-    # C is antisymmetric, so its largest entry is max|C|
-    if max(flat.tolist()) >= 2.0**1023:
+    if m >= 2.0**1023:
         raise ValueError("structure constants overflow double precision (max |C| >= 2**1023)")
     return flat
 
@@ -124,4 +124,4 @@ def classify_manifold(c: StructureConstants, tol: float = 1e-12) -> ClassReport:
     algebra induces.
     """
     y = _CLASSIFY @ _lie_algebra(c)[_INDEP] + 0.0
-    return _report(y[:14].tolist(), LeeForms(y[14:17], y[17:20], y[20:]), 0.0, tol)
+    return _report(y.tolist(), LeeForms(y[14:17], y[17:20], y[20:]), 0.0, tol)

@@ -37,20 +37,28 @@ _I, _J, _K = np.indices((3, 3, 3)).reshape(3, 27)
 _JIK = _flat(_J, _I, _K)
 _IKJ = _flat(_I, _K, _J)
 _JKI = _flat(_J, _K, _I)
-_MIRROR = _JIK.tolist()
 
 
 def structure_constants(components) -> StructureConstants:
     """Validate a 3x3x3 array of bracket coefficients (antisymmetry included)."""
     c = np.asarray(components, dtype=float).reshape(3, 3, 3)
-    v = c.reshape(27).tolist()
-    # compared, not added (a sum can overflow); a NaN fails the comparison
-    # and an inf in an antisymmetric C makes +inf its largest entry
-    if [-v[n] for n in _MIRROR] != v or max(v) == math.inf:
+    _validated(c.reshape(27).tolist())
+    return c
+
+
+def _validated(v: list) -> tuple[list, float]:
+    """_independent(v), once the flat components v (Python floats) are finite
+    and antisymmetric."""
+    pqr, m = _independent(v)
+    # compared, not added (a sum can overflow): P, Q, R against their mirrors
+    # C_10, C_20, C_21, and the diagonal C_00, C_11, C_22 against zero.  A
+    # NaN fails either test, and an inf that passes both is in P, Q or R.
+    mirrored = [-x for x in pqr] == v[9:12] + v[18:24]
+    if not mirrored or any(v[0:3] + v[12:15] + v[24:27]) or m == math.inf:
         if not all(map(math.isfinite, v)):
             raise ValueError("structure constants must be finite")
         raise ValueError("structure constants must be antisymmetric in (i, j)")
-    return c
+    return pqr, m
 
 
 def _entries(brackets) -> tuple[np.ndarray, np.ndarray]:
@@ -105,9 +113,19 @@ def jacobi_defect(c: StructureConstants) -> float:
     two to max-abs in [1/2, 1), so it cannot overflow, and is scaled back
     exactly; a defect beyond double range comes out as inf, never NaN.
     """
-    v = c.reshape(27).tolist()
-    pqr = v[3:9] + v[15:18]  # C_01, C_02, C_12 at flat 9i + 3j + m
-    e = math.frexp(max(map(abs, pqr)))[1]
+    return _jacobi(*_independent(c.reshape(27).tolist()))
+
+
+def _independent(v: list) -> tuple[list, float]:
+    """P, Q, R = C_01, C_02, C_12 out of the flat components v, and their
+    max-abs, which is max|C| when C is antisymmetric."""
+    pqr = v[3:9] + v[15:18]  # at flat 9i + 3j + m
+    return pqr, max(map(abs, pqr))
+
+
+def _jacobi(pqr: list, m: float) -> float:
+    """jacobi_defect on P, Q, R with max-abs m, as _independent gives them."""
+    e = math.frexp(m)[1]
     p0, p1, p2, q0, q1, q2, r0, r1, r2 = [math.ldexp(x, -e) for x in pqr]
     a, b, d = p0 - r2, p1 + q2, r1 + q0
     j = (a * q0 + b * r0 - d * p0, a * q1 + b * r1 - d * p1, a * q2 + b * r2 - d * p2)

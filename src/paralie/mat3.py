@@ -53,6 +53,16 @@ def max_abs(a) -> float:
     return float(np.abs(a).max())
 
 
+# The referee's range in max-abs norm.  Past it the squarings lose digits
+# and, far past it, overflow: on F8/F10 rotations and F4 boosts it is within
+# about 1e-15 of the closed forms up to a norm of 1e3, 3e-15 at 1e4 and
+# 2e-13 at 1e6, relative to max(1, max|exp(A)|).
+ORACLE_MAX_NORM = 2.0**10
+# The series and squarings run in longdouble; where that is a plain double,
+# the referee is no more precise than the closed forms it checks.
+_LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+
+
 def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
     """Matrix exponential via scaling-and-squaring over a truncated series.
 
@@ -60,16 +70,25 @@ def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
     Taylor series is summed until the current term falls below tol * 2**-s
     in max-abs, and the partial sum is squared s times.  The arithmetic runs
     in extended precision so the repeated squarings do not eat into the
-    float64 result; good to roughly ``tol`` per entry for norms up to ~50,
-    with the conditioning of exp itself on top.
+    float64 result; good to roughly ``tol`` per entry, relative to
+    max(1, max|exp(A)|), with the conditioning of exp itself on top.
+
+    Raises ValueError for a max-abs norm above ORACLE_MAX_NORM, and where
+    longdouble has no more precision than 1e-18.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive")
+    if _LONGDOUBLE_EPS > 1e-18:
+        raise ValueError(
+            f"expm_oracle needs an extended-precision longdouble (eps {_LONGDOUBLE_EPS:.3g} here)")
     a = np.asarray(a, dtype=float)
     if a.shape != (3, 3) or not np.all(np.isfinite(a)):
         raise ValueError("expm_oracle expects a finite 3x3 matrix")
 
     norm = max_abs(a)
+    if norm > ORACLE_MAX_NORM:
+        raise ValueError(
+            f"expm_oracle is out of range: max |A| = {norm:.3e} > {ORACLE_MAX_NORM:g}")
     squarings = 0
     if norm > 0.5:
         squarings = int(math.ceil(math.log2(norm / 0.5)))

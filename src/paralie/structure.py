@@ -120,8 +120,14 @@ class ClassParams:
             raise ValueError(f"unknown class id {self.class_id!r}")
         # stored as Python floats, so arithmetic past double range gives inf
         # rather than a numpy warning
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        try:
+            alpha, beta = float(self.alpha), float(self.beta)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"class parameters must be real numbers (alpha={self.alpha!r}, beta={self.beta!r})"
+            ) from None
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("class parameters must be finite")
         if self.class_id == "F0" and (self.alpha != 0.0 or self.beta != 0.0):
@@ -221,7 +227,8 @@ def match_class(f: FTensor, tol: float = 1e-12) -> ClassReport:
 
 def _report(coef: list, lee: LeeForms, residual: float, tol: float) -> ClassReport:
     """The verdict on the 14 recovered parameters, alpha then beta of each
-    class in CLASS_IDS order, and on the residual."""
+    class in CLASS_IDS order (the first 14 entries of coef), and on the
+    residual."""
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive")
     coefs = iter(coef)

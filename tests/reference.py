@@ -6,7 +6,10 @@ tests use it to cross-check the closed forms.  ``bracket`` is the einsum
 form of the Lie bracket.  ``classify_by_projection`` is the classification
 path that one fused linear map replaced, step by step, and
 ``jacobi_defect_matmul`` the 81-entry Jacobi defect that the three-component
-identity replaced.
+identity replaced.  ``replaced_structure_constants``,
+``replaced_jacobi_defect`` and ``replaced_lie_algebra`` are the validation
+gate before it read C once: each check converted C to Python floats on its
+own, and max|C| was taken twice.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from paralie.levicivita import _koszul, _nabla_phi
-from paralie.lie import _I, _J, _JKI, _K, _flat, _ldexp
+from paralie import levicivita
+from paralie.levicivita import NotALieAlgebraError, _koszul, _nabla_phi
+from paralie.lie import _I, _J, _JIK, _JKI, _K, _flat, _ldexp
 from paralie.mat3 import max_abs, trace, trace_sq
 from paralie.structure import _BASIS, _NORM_SQ, CLASS_IDS, lee_forms
 
@@ -120,3 +124,41 @@ def classify_by_projection(c, tol: float = 1e-12) -> Projection:
     return Projection(
         verdict, coef, np.concatenate((lee.theta, lee.theta_star, lee.omega)), residual
     )
+
+
+_MIRROR = _JIK.tolist()
+
+
+def replaced_structure_constants(components):
+    """Finiteness and antisymmetry on the 27 components as Python floats."""
+    c = np.asarray(components, dtype=float).reshape(3, 3, 3)
+    v = c.reshape(27).tolist()
+    if [-v[n] for n in _MIRROR] != v or max(v) == math.inf:
+        if not all(map(math.isfinite, v)):
+            raise ValueError("structure constants must be finite")
+        raise ValueError("structure constants must be antisymmetric in (i, j)")
+    return c
+
+
+def replaced_jacobi_defect(c) -> float:
+    """The three-component identity on P, Q, R, converted from C on its own."""
+    v = c.reshape(27).tolist()
+    pqr = v[3:9] + v[15:18]
+    e = math.frexp(max(map(abs, pqr)))[1]
+    p0, p1, p2, q0, q1, q2, r0, r1, r2 = [math.ldexp(x, -e) for x in pqr]
+    a, b, d = p0 - r2, p1 + q2, r1 + q0
+    j = (a * q0 + b * r0 - d * p0, a * q1 + b * r1 - d * p1, a * q2 + b * r2 - d * p2)
+    return _ldexp(max(map(abs, j)), 2 * e)
+
+
+def replaced_lie_algebra(c) -> np.ndarray:
+    """The gate as three passes: validate, Jacobi, then the range rule on
+    max(flat.tolist()), which is max|C| for antisymmetric C."""
+    c = replaced_structure_constants(c)
+    defect = replaced_jacobi_defect(c)
+    if defect > levicivita.JACOBI_TOL:
+        raise NotALieAlgebraError(defect)
+    flat = c.reshape(27)
+    if max(flat.tolist()) >= 2.0**1023:
+        raise ValueError("structure constants overflow double precision (max |C| >= 2**1023)")
+    return flat

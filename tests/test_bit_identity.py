@@ -7,6 +7,14 @@ expA must match them byte for byte (``tobytes``), including the sign of
 zero, on a seeded sample of all seven classes whose parameters and
 coordinates span 300 decades either way; where they overflow, closed_form
 must raise its documented ValueError.
+
+The validation gate shared by connection_coeffs, f_tensor and
+classify_manifold was rewritten to read C once.  Those three and
+structure_constants and jacobi_defect must give the same bytes as the gate
+it replaced (``reference.replaced_lie_algebra``), or raise the same
+exception type with the same message, on seeded antisymmetric constants
+over 300 decades either way, on NaN, infinite and non-antisymmetric
+corruptions of them, and at and just below max|C| = 2**1023.
 """
 
 import math
@@ -14,10 +22,25 @@ import math
 import numpy as np
 import pytest
 
+from paralie import levicivita
 from paralie.expengine import closed_form
-from paralie.lie import class_algebra
+from paralie.levicivita import (
+    _CLASSIFY,
+    _INDEP,
+    _koszul,
+    _nabla_phi,
+    classify_manifold,
+    connection_coeffs,
+    f_tensor,
+)
+from paralie.lie import class_algebra, jacobi_defect, structure_constants
 from paralie.mat3 import trace
-from paralie.structure import CLASS_IDS, ClassParams
+from paralie.structure import CLASS_IDS, ClassParams, LeeForms, _report
+from reference import (
+    replaced_jacobi_defect,
+    replaced_lie_algebra,
+    replaced_structure_constants,
+)
 
 
 def dict_built_constants(p):
@@ -110,3 +133,136 @@ def test_closed_form_bit_identical_to_replaced_formulas(cid):
         assert res.expA.tobytes() == expA.tobytes(), (p, a, b, co)
     # both outcomes are exercised in bulk
     assert 300 < finite < 1400
+
+
+# --- the validation gate ------------------------------------------------------
+
+
+def replaced_classify(c, tol=1e-12):
+    y = _CLASSIFY @ replaced_lie_algebra(c)[_INDEP] + 0.0
+    return _report(y[:14].tolist(), LeeForms(y[14:17], y[17:20], y[20:]), 0.0, tol)
+
+
+# each public function next to its composition from the replaced gate
+GATED = (
+    (structure_constants, replaced_structure_constants),
+    (jacobi_defect, replaced_jacobi_defect),
+    (connection_coeffs, lambda c: _koszul(replaced_lie_algebra(c)).reshape(3, 3, 3)),
+    (f_tensor, lambda c: _nabla_phi(_koszul(replaced_lie_algebra(c))).reshape(3, 3, 3)),
+    (classify_manifold, replaced_classify),
+)
+
+
+def as_bytes(value):
+    """Every float of a result, as bytes, with its shape and labels."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    lee = value.lee
+    floats = [value.alpha, value.beta, value.residual]
+    floats += [x for ab in value.params.values() for x in ab]
+    return (
+        value.verdict,
+        list(value.params),
+        value.para_sasakian,
+        np.array(floats).tobytes(),
+        np.concatenate((lee.theta, lee.theta_star, lee.omega)).tobytes(),
+    )
+
+
+def outcome(fn, c):
+    try:
+        return "ok", as_bytes(fn(c))
+    except ValueError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def seeded_constants(rng, n):
+    """n antisymmetric C, each with its own scale and spread of decades."""
+    out = []
+    for _ in range(n):
+        spread = rng.choice([0.0, 3.0, 30.0])
+        raw = rng.normal(size=(3, 3, 3)) * 10.0 ** (
+            rng.uniform(spread - 300, 300 - spread) + spread * rng.uniform(-1, 1, (3, 3, 3)))
+        raw[rng.random((3, 3, 3)) < 0.2] = 0.0
+        out.append(raw - raw.transpose(1, 0, 2))
+    return out
+
+
+def class_constants(rng, n):
+    """n algebras of the seven classes and of sums of two, over 300 decades."""
+    out = []
+    for _ in range(n):
+        alpha, beta = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-300, 300, 2)
+        c = class_algebra(ClassParams(rng.choice(CLASS_IDS), alpha, beta))
+        if rng.random() < 0.3:
+            c = c + class_algebra(ClassParams(rng.choice(CLASS_IDS), alpha * rng.uniform(-3, 3)))
+        out.append(c)
+    return out
+
+
+def corrupted(rng, constants):
+    """Each C with one entry made NaN or +-inf, or its antisymmetry broken."""
+    out = []
+    for c in constants:
+        c = c.copy()
+        i, j, k = rng.integers(0, 3, 3)
+        kind = rng.integers(0, 5)
+        if kind == 0:
+            c[i, j, k] = math.nan
+        elif kind == 1:
+            c[i, j, k] = rng.choice([math.inf, -math.inf])
+        elif kind == 2:  # antisymmetric, yet infinite
+            c[i, j, k], c[j, i, k] = (math.inf, -math.inf) if i != j else (0.0, 0.0)
+        elif kind == 3:
+            c[i, j, k] = c[i, j, k] * (1.0 + 2.0**-52) + 1e-300
+        else:
+            c[i, i, k] = 10.0 ** rng.uniform(-300, 300)
+        out.append(c)
+    return out
+
+
+def double_range_edge():
+    """C with max|C| at 2**1023, the range rule's edge, and one ulp below."""
+    out = []
+    for top in (2.0**1023, math.nextafter(2.0**1023, 0.0)):
+        for cid in CLASS_IDS:
+            out.append(class_algebra(ClassParams(cid, top, -top)))
+        out.append(class_algebra(ClassParams("F8", top / 2.0)))
+        out.append(class_algebra(ClassParams("F4", top)) + class_algebra(ClassParams("F5", top / 3)))
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            raw = rng.uniform(-1.0, 1.0, (3, 3, 3))
+            unit = raw - raw.transpose(1, 0, 2)
+            out.append(unit / np.max(np.abs(unit)) * top)
+    return out
+
+
+def gate_inputs():
+    rng = np.random.default_rng(73)
+    seeded = seeded_constants(rng, 1500) + class_constants(rng, 1500)
+    return seeded + corrupted(rng, seeded[::2]) + double_range_edge()
+
+
+@pytest.mark.parametrize("jacobi_tol", [levicivita.JACOBI_TOL, math.inf])
+def test_gate_bit_identical_to_the_replaced_gate(monkeypatch, jacobi_tol):
+    # with the Jacobi check off, random constants reach the map and the
+    # range rule too, and Gamma of a non-algebra near 2**1023 can overflow
+    # to the same inf on both sides; the replaced gate reads the same
+    # JACOBI_TOL
+    monkeypatch.setattr(levicivita, "JACOBI_TOL", jacobi_tol)
+    seen = set()
+    with np.errstate(over="ignore" if jacobi_tol == math.inf else "warn"):
+        for c in gate_inputs():
+            for new, old in GATED:
+                got = outcome(new, c)
+                assert got == outcome(old, c), (new.__name__, c.tolist())
+                seen.add((new.__name__, got[0], got[-1] if got[0] == "raised" else None))
+    # every outcome of the gate is exercised, on every route through it
+    messages = {m for *_, m in seen if m}
+    assert any(m.startswith("Jacobi identity violated") for m in messages) == (jacobi_tol < math.inf)
+    assert {"structure constants must be finite",
+            "structure constants must be antisymmetric in (i, j)",
+            "structure constants overflow double precision (max |C| >= 2**1023)"} <= messages
+    assert {name for name, kind, _ in seen if kind == "ok"} == {fn.__name__ for fn, _ in GATED}

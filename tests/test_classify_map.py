@@ -12,6 +12,7 @@ values are within 2**-52 * max|C| of exact, the replaced path's within
 about 1.6 times that.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -109,8 +110,9 @@ def test_sums_of_classes_match_the_reference():
 
 def test_random_antisymmetric_constants_match_the_reference(monkeypatch):
     # most random constants fail the Jacobi identity; the map is linear in
-    # C whether or not they do, so the check is switched off here
-    monkeypatch.setattr(levicivita, "jacobi_defect", lambda c: 0.0)
+    # C whether or not they do, so the check is switched off here (the
+    # defect is never NaN, so nothing exceeds an infinite tolerance)
+    monkeypatch.setattr(levicivita, "JACOBI_TOL", math.inf)
     rng = np.random.default_rng(13)
     for n in range(2000):
         raw = rng.normal(size=(3, 3, 3)) * 10.0 ** rng.uniform(-200, 200)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,16 @@ def test_classify_accepts_class_params_json(tmp_path, capsys):
     assert json.loads(out)["verdict"] == ["F10"]
 
 
+@pytest.mark.parametrize("value", ["null", "[1]", '{"alpha": 1}'])
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_classify_non_numeric_class_parameter_exit_2(tmp_path, capsys, key, value):
+    path = tmp_path / "byclass.json"
+    path.write_text(f'{{"class": "f11", "{key}": {value}}}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert "error: class parameters must be real numbers" in err
+
+
 def test_classify_parse_failure_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -196,6 +207,20 @@ def test_exp_determinant_past_double_range_is_inf_without_warning(capsys):
     code, out, err = run_cli(capsys, "exp", "--class", "f5", "--alpha", "1", "--coords=-700,0,0")
     assert code == 0
     assert "det(exp(A)) = inf" in out and err == ""
+
+
+@pytest.mark.parametrize("coords", ["1e100,1e100,0", "1e150,0,0"])
+def test_exp_oracle_out_of_range_exit_2(capsys, coords):
+    # the closed form is finite here; the referee used to print a NaN or a
+    # residual of 0.72 with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "exp", "--class", "f8", "--alpha", "1", f"--coords={coords}",
+            "--oracle", "--format", "json",
+        )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expm_oracle is out of range") and err.count("\n") == 1
 
 
 def test_exp_rejects_f0(capsys):

@@ -94,6 +94,15 @@ def test_class_params_store_python_floats():
     assert c[0, 1, 2] == 1.5e308
 
 
+@pytest.mark.parametrize("bad", [None, [1.0], {"alpha": 1.0}, "one", 10**400],
+                         ids=["none", "list", "dict", "str", "int_past_double_range"])
+def test_class_params_reject_what_float_rejects(bad):
+    # the documented ValueError, never float()'s TypeError or OverflowError
+    for args in ((bad,), (1.0, bad)):
+        with pytest.raises(ValueError, match="class parameters must be real numbers"):
+            ClassParams("F11", *args)
+
+
 def test_class_algebra_f5():
     c = class_algebra(ClassParams("F5", 1.0))
     assert c[0, 1, 1] == 1.0
@@ -324,6 +333,63 @@ def test_adjoint_rep_linear_in_coordinates(a, b, co, s):
     lhs = adjoint_rep(c, s * a, s * b, s * co)
     rhs = s * adjoint_rep(c, a, b, co)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+# --- adjoint_rep is a representation -------------------------------------------
+
+# Every algebra of the seven families satisfies the Jacobi identity exactly,
+# for any real parameters, so [A_X, A_Y] = A_Z with Z^k = x^i y^j C_ij^k
+# holds in exact arithmetic.  Each entry of a computed A_X is one rounded
+# 3-term dot product, off by at most E_X = gamma_3 S_X + 3 * 2**-1075 with
+# S_X = max_jk sum_i |x_i C_ijk| <= 3 max|x| max|C| (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., ch. 3, plus one absolute
+# underflow error per product).  Writing each product of computed matrices
+# as (A_X + dA_X)(A_Y + dA_Y), the exact commutator of the computed A_X and
+# A_Y is off from A_Z by at most 3 (E_X |A_Y| + S_X E_Y + E_Y |A_X| + S_Y E_X)
+# per entry: about 36 gamma_3 S_X S_Y <= 324 u max|x| max|y| max|C|**2, as
+# the commutator is quadratic in C.
+GAMMA_3 = Fraction(3, 2**53) / (1 - Fraction(3, 2**53))
+UNDERFLOW_3 = Fraction(3, 2**1075)
+
+
+def exact(m):
+    return [[Fraction(v) for v in row] for row in np.asarray(m).tolist()]
+
+
+def dot_size(c, x):
+    """S_X = max_jk sum_i |x_i C_ijk|, exactly."""
+    return max(sum(abs(x[i] * c[i][j][k]) for i in range(3)) for j in range(3) for k in range(3))
+
+
+def exact_commutator(a, b):
+    prod = [[sum(a[j][l] * b[l][k] for l in range(3)) for k in range(3)] for j in range(3)]
+    back = [[sum(b[j][l] * a[l][k] for l in range(3)) for k in range(3)] for j in range(3)]
+    return [[prod[j][k] - back[j][k] for k in range(3)] for j in range(3)]
+
+
+@given(
+    st.sampled_from(CLASS_IDS),
+    st.floats(-2, 2),
+    st.floats(-2, 2),
+    st.lists(st.floats(-3, 3), min_size=6, max_size=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_adjoint_rep_is_a_representation(cid, alpha, beta, xy):
+    c = class_algebra(ClassParams(cid, alpha, beta))
+    ce = [exact(plane) for plane in c]
+    x, y = [Fraction(v) for v in xy[:3]], [Fraction(v) for v in xy[3:]]
+    ax, ay = adjoint_rep(c, *xy[:3]), adjoint_rep(c, *xy[3:])
+    s_x, s_y = dot_size(ce, x), dot_size(ce, y)
+    z = [sum(x[i] * y[j] * ce[i][j][k] for i in range(3) for j in range(3)) for k in range(3)]
+    # A_Z by linearity from adjoint_rep on the frame, which it gives exactly
+    frame = [exact(adjoint_rep(c, *e)) for e in np.eye(3)]
+    a_z = [[sum(z[n] * frame[n][j][k] for n in range(3)) for k in range(3)] for j in range(3)]
+    e_x, e_y = GAMMA_3 * s_x + UNDERFLOW_3, GAMMA_3 * s_y + UNDERFLOW_3
+    bound = 3 * (e_x * Fraction(np.max(np.abs(ay))) + s_x * e_y
+                 + e_y * Fraction(np.max(np.abs(ax))) + s_y * e_x)
+    got = exact_commutator(exact(ax), exact(ay))
+    err = max(abs(got[j][k] - a_z[j][k]) for j in range(3) for k in range(3))
+    assert err <= bound, (float(err), float(bound))
 
 
 # --- annihilating identities ---------------------------------------------------

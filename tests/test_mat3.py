@@ -1,12 +1,16 @@
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paralie.mat3 import expm_oracle, mat3, max_abs, trace, trace_sq, vec3
+from paralie.mat3 import ORACLE_MAX_NORM, expm_oracle, mat3, max_abs, trace, trace_sq, vec3
 from reference import Annihilator, annihilator
+
+MAT3 = importlib.import_module("paralie.mat3")  # the package exports a function of that name
 
 
 def small_matrices(limit):
@@ -90,6 +94,29 @@ def test_expm_oracle_rejects_nan_tol():
     for tol in (math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be positive"):
             expm_oracle(np.eye(3), tol=tol)
+
+
+def test_expm_oracle_refuses_norms_past_its_range():
+    # a rotation of norm ORACLE_MAX_NORM is still refereed, to rounding of
+    # its entries; one ulp past it, and far past it where the squarings
+    # used to overflow into NaN, the refusal comes before any arithmetic
+    rotation = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    x = ORACLE_MAX_NORM
+    expected = np.array([[1, 0, 0], [0, math.cos(x), -math.sin(x)], [0, math.sin(x), math.cos(x)]])
+    assert max_abs(expm_oracle(x * rotation) - expected) < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (math.nextafter(x, math.inf), 1e100, 1e300):
+            with pytest.raises(ValueError, match="out of range"):
+                expm_oracle(norm * rotation)
+
+
+def test_expm_oracle_refuses_a_double_longdouble(monkeypatch):
+    # where longdouble is a plain double the referee is no better than the
+    # closed forms it checks
+    monkeypatch.setattr(MAT3, "_LONGDOUBLE_EPS", 2.0**-52)
+    with pytest.raises(ValueError, match="extended-precision longdouble"):
+        expm_oracle(np.eye(3))
 
 
 @given(small_matrices(1.2))
