@@ -41,10 +41,6 @@ from .structure import (
     LeeForms,
     PhiBasisStructure,
     check_structure,
-    class_pattern,
-    ftensor,
-    lee_forms,
-    match_class,
     standard_structure,
 )
 

@@ -62,9 +62,8 @@ def run_exp_grid(param_grid=PARAM_GRID, coord_grid=COORD_GRID) -> dict[str, floa
 def run_roundtrip_grid(grid=ROUNDTRIP_GRID) -> dict[str, float]:
     """Algebra -> connection -> tensor -> class round trip per class.
 
-    Returned value is the max over the grid of parameter recovery error,
-    pattern residual, and verdict mismatch (inf when the wrong class comes
-    back).
+    Returned value is the max over the grid of parameter recovery error
+    and verdict mismatch (inf when the wrong class comes back).
     """
     worst = {}
     for cid in CLASS_IDS:
@@ -77,11 +76,7 @@ def run_roundtrip_grid(grid=ROUNDTRIP_GRID) -> dict[str, float]:
                 if report.verdict != [cid]:
                     m = float("inf")
                     continue
-                err = max(
-                    abs(report.alpha - alpha),
-                    abs(report.beta - beta),
-                    report.residual,
-                )
+                err = max(abs(report.alpha - alpha), abs(report.beta - beta))
                 if err > m:
                     m = err
         worst[cid] = m
@@ -209,7 +204,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "verdict": report.verdict,
             "alpha": report.alpha,
             "beta": report.beta,
-            "residual": report.residual,
             "lee": vars(report.lee),
             "para_sasakian": report.para_sasakian,
             "classes": {
@@ -221,7 +215,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         print("verdict: " + " + ".join(report.verdict))
         print(f"alpha: {report.alpha:.12g}  beta: {report.beta:.12g}")
-        print(f"pattern residual: {report.residual:.3e}")
         lee = report.lee
         print(
             "lee forms: theta=({:.6g}, {:.6g}, {:.6g})  theta*=({:.6g}, {:.6g}, {:.6g})"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lie import _I, _IKJ, _J, _JIK, _JKI, _K, StructureConstants, _flat
-from .lie import _jacobi, _validated
+from .lie import _as_floats, _jacobi, _validated
 from .structure import _BASIS, _LEE, _NORM_SQ, ClassReport, FTensor, LeeForms, _report
 
 JACOBI_TOL = 1e-12
@@ -46,12 +46,12 @@ def _lie_algebra(c: StructureConstants) -> np.ndarray:
     """The flat components of C, once C is an algebra this package accepts.
 
     The one check between structure constants and the geometry, shared by
-    connection_coeffs, f_tensor and classify_manifold: C must be finite and
-    antisymmetric (ValueError), pass the Jacobi check (NotALieAlgebraError)
+    connection_coeffs, f_tensor and classify_manifold: C must be real, finite
+    and antisymmetric (ValueError), pass the Jacobi check (NotALieAlgebraError)
     and have max|C| < 2**1023 (ValueError).  C is read once: one list of
     Python floats and one max|C| serve every check.
     """
-    flat = np.asarray(c, dtype=float).reshape(27)
+    flat = _as_floats(c).reshape(27)
     pqr, m = _validated(flat.tolist())
     defect = _jacobi(pqr, m)
     if defect > JACOBI_TOL:
@@ -66,9 +66,9 @@ def connection_coeffs(c: StructureConstants) -> ConnectionCoeffs:
 
     Metric compatibility (antisymmetry in the last two slots) and
     torsion-freeness (Gamma[i][j] - Gamma[j][i] = C[i][j]) hold by
-    construction.  Constants that are not finite, not antisymmetric or
-    have max|C| >= 2**1023 raise ValueError; constants whose Jacobi defect
-    exceeds JACOBI_TOL raise NotALieAlgebraError.
+    construction.  Constants that are not real numbers, not finite, not
+    antisymmetric or have max|C| >= 2**1023 raise ValueError; constants
+    whose Jacobi defect exceeds JACOBI_TOL raise NotALieAlgebraError.
     """
     return _koszul(_lie_algebra(c)).reshape(3, 3, 3)
 
@@ -100,8 +100,7 @@ def f_tensor(c: StructureConstants) -> FTensor:
 # parameters, rows 14-22 the Lee forms.  Every entry is +-1/2, +-1 or +-2,
 # at most three per row, so a pure class is recovered exactly, and each
 # row's L1 norm is at most 2, so below max|C| = 2**1023 nothing overflows.
-# F never leaves the span of the patterns here (the projection's residual
-# is identically zero on antisymmetric C), so none is computed.
+# The patterns span every F that an algebra induces, so nothing is left over.
 _INDEP = np.flatnonzero(_I < _J)
 
 
@@ -120,8 +119,6 @@ def classify_manifold(c: StructureConstants, tol: float = 1e-12) -> ClassReport:
     """Classify the manifold carried by a Lie algebra with orthonormal frame.
 
     C is checked as in connection_coeffs; tol is the verdict threshold.
-    The report's residual is 0.0: the patterns span every F that an
-    algebra induces.
     """
     y = _CLASSIFY @ _lie_algebra(c)[_INDEP] + 0.0
-    return _report(y.tolist(), LeeForms(y[14:17], y[17:20], y[20:]), 0.0, tol)
+    return _report(y.tolist(), LeeForms(y[14:17], y[17:20], y[20:]), tol)

@@ -41,9 +41,17 @@ _JKI = _flat(_J, _K, _I)
 
 def structure_constants(components) -> StructureConstants:
     """Validate a 3x3x3 array of bracket coefficients (antisymmetry included)."""
-    c = np.asarray(components, dtype=float).reshape(3, 3, 3)
+    c = _as_floats(components).reshape(3, 3, 3)
     _validated(c.reshape(27).tolist())
     return c
+
+
+def _as_floats(components) -> np.ndarray:
+    # what float() refuses (an object, an integer past double range) is a ValueError
+    try:
+        return np.asarray(components, dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"structure constants must be real numbers ({exc})") from None
 
 
 def _validated(v: list) -> tuple[list, float]:

@@ -15,8 +15,8 @@ of such tensors survive, each a one- or two-parameter pattern:
     F11 : x0 * (beta*(y0*z1 + y1*z0) + alpha*(y0*z2 + y2*z0))
 
 F0 is the integrable case F = 0.  The 14 (class, parameter) patterns are
-stored once, as the rows of one orthogonal basis: ``class_pattern`` combines
-two rows and ``match_class`` projects an arbitrary tensor onto all of them.
+stored once, as the rows of one orthogonal basis; levicivita folds the
+projection onto them into its classification map.
 """
 
 from __future__ import annotations
@@ -36,14 +36,6 @@ PARA_SASAKIAN_THETA0 = -2.0
 PARA_SASAKIAN_TOL = 1e-9
 
 FTensor = np.ndarray  # shape (3, 3, 3), F[i][j][k]
-
-
-def ftensor(components) -> FTensor:
-    """Validate a 3x3x3 array of frame components."""
-    f = np.asarray(components, dtype=float).reshape(3, 3, 3)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("tensor components must be finite")
-    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,15 +59,12 @@ def standard_structure() -> PhiBasisStructure:
     )
 
 
-def check_structure(s: PhiBasisStructure, tol: float = 1e-12) -> dict[str, float]:
+def check_structure(s: PhiBasisStructure) -> dict[str, float]:
     """Residuals of the defining identities, keyed by name.
 
-    The structure passes when every residual is at most tol.  Checked:
-    phi^2 = I - eta (x) xi, eta(xi) = 1, eta o phi = 0, phi xi = 0,
-    tr phi = 0, and g(phi x, phi y) = g(x, y) - eta(x) eta(y).
+    Checked: phi^2 = I - eta (x) xi, eta(xi) = 1, eta o phi = 0,
+    phi xi = 0, tr phi = 0, and g(phi x, phi y) = g(x, y) - eta(x) eta(y).
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive")
     phi, xi, eta, g = s.phi, s.xi, s.eta, s.g
     return {
         "phi_squared": max_abs(phi @ phi - (np.eye(3) - np.outer(xi, eta))),
@@ -89,22 +78,16 @@ def check_structure(s: PhiBasisStructure, tol: float = 1e-12) -> dict[str, float
 
 @dataclass(frozen=True, eq=False)
 class LeeForms:
-    """The three 1-forms contracted out of an F tensor."""
-
-    theta: Vec3
-    theta_star: Vec3
-    omega: Vec3
-
-
-def lee_forms(f: FTensor) -> LeeForms:
-    """Contract the classifying 1-forms from frame components.
+    """The three 1-forms contracted out of an F tensor:
 
     theta  = (F110 + F220, F111, F222)
     theta* = (F120 + F210, -F222, -F111)
     omega  = (0, F001, F002)
     """
-    theta, theta_star, omega = (_LEE @ np.reshape(f, 27) + 0.0).reshape(3, 3)
-    return LeeForms(theta=theta, theta_star=theta_star, omega=omega)
+
+    theta: Vec3
+    theta_star: Vec3
+    omega: Vec3
 
 
 @dataclass(frozen=True)
@@ -148,7 +131,7 @@ _SUPPORT = {
 
 
 # Cells of the Lee forms' nine components (theta, theta*, omega), read off
-# lee_forms' docstring.
+# LeeForms' docstring.
 _LEE_CELLS = (
     {(1, 1, 0): 1, (2, 2, 0): 1}, {(1, 1, 1): 1}, {(2, 2, 2): 1},
     {(1, 2, 0): 1, (2, 1, 0): 1}, {(2, 2, 2): -1}, {(1, 1, 1): -1},
@@ -175,60 +158,23 @@ _BASIS = _dense([cells for cid in CLASS_IDS for cells in _SUPPORT[cid]])
 _NORM_SQ = np.maximum(np.sum(_BASIS**2, axis=1), 1.0)
 
 
-def class_pattern(p: ClassParams) -> FTensor:
-    """Full 27-component tensor of a basic-class pattern.
-
-    The parameters enter through theta_1 = 2*alpha, theta_2 = -2*beta (F1),
-    theta_0 = 2*alpha (F4), theta*_0 = 2*alpha (F5), lambda = alpha (F8),
-    mu = alpha (F9), nu = 2*alpha (F10) and omega = (0, beta, alpha) (F11).
-    """
-    if p.class_id == "F0":
-        return np.zeros((3, 3, 3))
-    n = 2 * CLASS_IDS.index(p.class_id)
-    return (p.alpha * _BASIS[n] + p.beta * _BASIS[n + 1]).reshape(3, 3, 3)
-
-
 @dataclass(eq=False)
 class ClassReport:
-    """Outcome of projecting a tensor onto the seven basic patterns.
-
-    verdict lists the classes whose recovered parameter is significant (or
-    ["F0"] when none is), with "unclassified" appended when the tensor is
-    not fully explained by the patterns (never for classify_manifold, whose
-    residual is 0.0).  alpha/beta are the parameters of
-    the dominant class; params holds the per-class recoveries.
-    """
+    """Verdict of classify_manifold: the classes whose recovered parameter
+    is significant, or ["F0"] when none is; alpha/beta, the parameters of
+    the dominant class; params, the per-class recoveries."""
 
     verdict: list[str]
     alpha: float
     beta: float
-    residual: float
     lee: LeeForms
     para_sasakian: bool
     params: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
-def match_class(f: FTensor, tol: float = 1e-12) -> ClassReport:
-    """Decompose a tensor over the basic patterns and report the verdict.
-
-    Every parameter is the orthogonal projection of the tensor onto one of
-    the 14 basis patterns; the max-abs of what the patterns leave over is
-    the residual.  Sums of patterns from distinct classes are decomposed
-    exactly; anything outside their span is flagged "unclassified".  A
-    projection that overflows raises ValueError.
-    """
-    f = ftensor(f).reshape(27)
-    coef = _BASIS @ f / _NORM_SQ
-    residual = max_abs(f - coef @ _BASIS)
-    if not math.isfinite(residual):
-        raise ValueError("tensor components overflow double precision")
-    return _report(coef.tolist(), lee_forms(f), residual, tol)
-
-
-def _report(coef: list, lee: LeeForms, residual: float, tol: float) -> ClassReport:
+def _report(coef: list, lee: LeeForms, tol: float) -> ClassReport:
     """The verdict on the 14 recovered parameters, alpha then beta of each
-    class in CLASS_IDS order (the first 14 entries of coef), and on the
-    residual."""
+    class in CLASS_IDS order (the first 14 entries of coef)."""
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive")
     coefs = iter(coef)
@@ -237,10 +183,8 @@ def _report(coef: list, lee: LeeForms, residual: float, tol: float) -> ClassRepo
     size = {cid: max(abs(a), abs(b)) for cid, (a, b) in params.items()
             if abs(a) > tol or abs(b) > tol}
     verdict = list(size) or ["F0"]
-    if residual > tol:
-        verdict.append("unclassified")
     # the dominant class; the first one wins a tie
     alpha, beta = params[max(size, key=size.__getitem__)] if size else (0.0, 0.0)
     para_sasakian = verdict == ["F4"] and (
         abs(float(lee.theta[0]) - PARA_SASAKIAN_THETA0) <= PARA_SASAKIAN_TOL)
-    return ClassReport(verdict, alpha, beta, residual, lee, para_sasakian, params)
+    return ClassReport(verdict, alpha, beta, lee, para_sasakian, params)

@@ -3,8 +3,11 @@
 ``annihilator`` detects a low-degree polynomial identity of a matrix with no
 class label, by a least-squares fit and a heuristic absolute threshold; the
 tests use it to cross-check the closed forms.  ``bracket`` is the einsum
-form of the Lie bracket.  ``classify_by_projection`` is the classification
-path that one fused linear map replaced, step by step, and
+form of the Lie bracket.  ``class_pattern`` and ``lee_forms`` build a class
+pattern from two rows of the library's basis and contract the Lee forms
+out of a tensor, the ground truth for F and for the Lee forms.
+``classify_by_projection`` is the classification path that one fused
+linear map replaced, step by step, and
 ``jacobi_defect_matmul`` the 81-entry Jacobi defect that the three-component
 identity replaced.  ``replaced_structure_constants``,
 ``replaced_jacobi_defect`` and ``replaced_lie_algebra`` are the validation
@@ -24,7 +27,7 @@ from paralie import levicivita
 from paralie.levicivita import NotALieAlgebraError, _koszul, _nabla_phi
 from paralie.lie import _I, _J, _JIK, _JKI, _K, _flat, _ldexp
 from paralie.mat3 import max_abs, trace, trace_sq
-from paralie.structure import _BASIS, _NORM_SQ, CLASS_IDS, lee_forms
+from paralie.structure import _BASIS, _LEE, _NORM_SQ, CLASS_IDS, ClassParams, LeeForms
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,25 @@ def jacobi_defect_matmul(c) -> float:
     cs = np.ldexp(c, -e)
     t = (cs.reshape(9, 3) @ cs.reshape(3, 9)).reshape(81)
     return _ldexp(max_abs(t + t[_JKIM] + t[_KIJM]), 2 * e)
+
+
+def class_pattern(p: ClassParams) -> np.ndarray:
+    """Full 27-component tensor of a basic-class pattern.
+
+    The parameters enter through theta_1 = 2*alpha, theta_2 = -2*beta (F1),
+    theta_0 = 2*alpha (F4), theta*_0 = 2*alpha (F5), lambda = alpha (F8),
+    mu = alpha (F9), nu = 2*alpha (F10) and omega = (0, beta, alpha) (F11).
+    """
+    if p.class_id == "F0":
+        return np.zeros((3, 3, 3))
+    n = 2 * CLASS_IDS.index(p.class_id)
+    return (p.alpha * _BASIS[n] + p.beta * _BASIS[n + 1]).reshape(3, 3, 3)
+
+
+def lee_forms(f) -> LeeForms:
+    """The Lee forms of LeeForms' docstring, contracted from frame components."""
+    theta, theta_star, omega = (_LEE @ np.reshape(f, 27) + 0.0).reshape(3, 3)
+    return LeeForms(theta=theta, theta_star=theta_star, omega=omega)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from paralie.structure import (
     check_structure,
     standard_structure,
 )
+from reference import class_pattern
 
 PARAM_GRID = (-2.0, -1.0, 0.5, 1.0, 2.0)
 COORD_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -85,7 +86,8 @@ def test_criterion_2_classification_round_trip():
             err = max(
                 abs(rep.alpha - p.alpha),
                 abs(rep.beta - p.beta),
-                rep.residual,
+                # F is exactly the pattern of the class recovered
+                max_abs(f - class_pattern(ClassParams(cid, rep.alpha, rep.beta))),
                 identification,
             )
             worst = max(worst, err)
@@ -116,7 +118,7 @@ def test_criterion_3_para_sasakian():
 
 
 def test_criterion_4_structure_identities():
-    residuals = check_structure(standard_structure(), 1e-14)
+    residuals = check_structure(standard_structure())
     structure_ok = len(residuals) == 6 and all(v == 0.0 for v in residuals.values())
     worst = 0.0
     for cid in CLASS_IDS:

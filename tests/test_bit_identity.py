@@ -140,7 +140,7 @@ def test_closed_form_bit_identical_to_replaced_formulas(cid):
 
 def replaced_classify(c, tol=1e-12):
     y = _CLASSIFY @ replaced_lie_algebra(c)[_INDEP] + 0.0
-    return _report(y[:14].tolist(), LeeForms(y[14:17], y[17:20], y[20:]), 0.0, tol)
+    return _report(y[:14].tolist(), LeeForms(y[14:17], y[17:20], y[20:]), tol)
 
 
 # each public function next to its composition from the replaced gate
@@ -160,7 +160,7 @@ def as_bytes(value):
     if isinstance(value, float):
         return np.float64(value).tobytes()
     lee = value.lee
-    floats = [value.alpha, value.beta, value.residual]
+    floats = [value.alpha, value.beta]
     floats += [x for ab in value.params.values() for x in ab]
     return (
         value.verdict,

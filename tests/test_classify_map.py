@@ -2,7 +2,8 @@
 
 The replaced path (connection coefficients, nabla phi, projection onto the
 14 basis patterns with a residual, Lee contraction) lives in
-``reference.classify_by_projection``.  The fused map must be that path on
+``reference.classify_by_projection``; classify_manifold reports no residual,
+since the patterns span every F that an algebra induces.  The fused map must be that path on
 the nine unit antisymmetric constants, exactly; on pure classes it must
 return the parameters bit for bit.  Elsewhere verdicts must match, each
 fused value must lie within the dot-product rounding bound of the exact
@@ -44,7 +45,8 @@ def fused(report):
 def assert_matches_reference(c, exact=False):
     ref = classify_by_projection(c)
     report = classify_manifold(c)
-    assert report.residual == 0.0
+    # the replaced path's residual is rounding only, but at large max|C|
+    # it exceeds the absolute tol and appends "unclassified"
     assert report.verdict == [v for v in ref.verdict if v != "unclassified"]
     got = np.concatenate(fused(report))
     want = np.concatenate((ref.coef, ref.lee))

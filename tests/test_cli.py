@@ -81,6 +81,11 @@ def test_classify_round_trip_via_file(tmp_path, capsys):
     assert report["verdict"] == ["F9"]
     assert report["alpha"] == 2.0
     assert report["para_sasakian"] is False
+    assert set(report) == {"verdict", "alpha", "beta", "lee", "para_sasakian", "classes"}
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert out.startswith("verdict: F9\n")
+    assert "residual" not in out
 
 
 def test_classify_para_sasakian(tmp_path, capsys):
@@ -126,10 +131,12 @@ def test_classify_non_numeric_class_parameter_exit_2(tmp_path, capsys, key, valu
 
 def test_classify_parse_failure_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    code, _, err = run_cli(capsys, "classify", str(path))
-    assert code == 2
-    assert "error" in err
+    nested = [[[0, 0, {"a": 1}], [0, 0, 0], [0, 0, 0]]] + [[[0, 0, 0]] * 3] * 2
+    for text in ("{not json", '{"C": {"a": 1}}', json.dumps({"C": nested})):
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "classify", str(path))
+        assert code == 2
+        assert "error" in err
 
 
 def test_classify_missing_file_exit_2(capsys):

@@ -5,21 +5,21 @@ import warnings
 import numpy as np
 import pytest
 
-from paralie import levicivita, structure
+from paralie import levicivita
 from paralie.levicivita import (
     NotALieAlgebraError,
     classify_manifold,
     connection_coeffs,
     f_tensor,
 )
-from paralie.lie import _validated, class_algebra
+from paralie.lie import _validated, class_algebra, structure_constants
 from paralie.structure import (
     CLASS_IDS,
     TWO_PARAMETER_CLASSES,
     ClassParams,
-    class_pattern,
     standard_structure,
 )
+from reference import class_pattern
 
 PARAM_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -91,10 +91,12 @@ def test_connection_rejects_invalid_constants():
     non_finite[0, 1, 2], non_finite[1, 0, 2] = np.nan, np.nan
     symmetric_huge = np.zeros((3, 3, 3))  # C + C[j][i][k] would overflow
     symmetric_huge[0, 1, 2], symmetric_huge[1, 0, 2] = 1e308, 1e308
+    # what float() refuses, at the top or nested inside C
+    not_real = ({"a": 1}, [[[0, 0, {}], [0] * 3, [0] * 3]] + [[[0] * 3] * 3] * 2, [[[10**400]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for c in (one_sided, non_finite, symmetric_huge):
-            for call in (connection_coeffs, classify_manifold):
+        for c in (one_sided, non_finite, symmetric_huge, *not_real):
+            for call in (structure_constants, connection_coeffs, f_tensor, classify_manifold):
                 with pytest.raises(ValueError) as excinfo:
                     call(c)
                 assert not isinstance(excinfo.value, NotALieAlgebraError)
@@ -153,7 +155,6 @@ def test_classify_f9():
     report = classify_manifold(class_algebra(ClassParams("F9", 2.0)))
     assert report.verdict == ["F9"]
     assert report.alpha == 2.0
-    assert report.residual <= 1e-12
 
 
 def test_classify_abelian():
@@ -227,7 +228,8 @@ def test_classify_rejects_overflowing_connection():
 
 @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
 def test_sums_at_large_scale_are_never_unclassified(scale):
-    # the projection's rounding residual once exceeded the absolute tol here
+    # the rounding residual of the projection that classification replaced
+    # once exceeded the absolute tol here, and these sums came back unclassified
     rng = np.random.default_rng(int(np.log10(scale)))
     summands = ("F4", "F5", "F9", "F10")
     for _ in range(300):
@@ -237,7 +239,6 @@ def test_sums_at_large_scale_are_never_unclassified(scale):
         c = sum(class_algebra(ClassParams(cid, a)) for cid, a in zip(subset, alphas))
         report = classify_manifold(c)
         assert report.verdict == subset
-        assert report.residual == 0.0
 
 
 def test_classify_near_double_range_without_warnings():
@@ -286,10 +287,9 @@ def test_classify_validates_once_without_einsum(monkeypatch):
         return _validated(v)
 
     def forbidden(*args, **kwargs):
-        pytest.fail("classify_manifold ran einsum or re-validated F")
+        pytest.fail("classify_manifold ran einsum")
 
     monkeypatch.setattr(levicivita, "_validated", counting)
-    monkeypatch.setattr(structure, "ftensor", forbidden)
     monkeypatch.setattr(np, "einsum", forbidden)
     report = classify_manifold(class_algebra(ClassParams("F11", 0.3, -1.7)))
     assert report.verdict == ["F11"]

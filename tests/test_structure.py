@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from paralie.cli import main
 from paralie.structure import (
+    _BASIS,
+    _NORM_SQ,
     CLASS_IDS,
     TWO_PARAMETER_CLASSES,
     ClassParams,
     check_structure,
-    class_pattern,
-    ftensor,
-    lee_forms,
-    match_class,
     standard_structure,
 )
+from reference import class_pattern, lee_forms
 
 PARAM_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -43,7 +42,7 @@ def test_standard_structure_frame():
 
 
 def test_standard_structure_passes_all_checks():
-    residuals = check_structure(standard_structure(), 1e-14)
+    residuals = check_structure(standard_structure())
     assert set(residuals) == {
         "phi_squared",
         "eta_of_xi",
@@ -53,18 +52,6 @@ def test_standard_structure_passes_all_checks():
         "metric_compat",
     }
     assert all(v == 0.0 for v in residuals.values())
-
-
-def test_check_structure_rejects_nan_tol():
-    for tol in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            check_structure(standard_structure(), tol)
-
-
-def test_match_rejects_nan_tol():
-    for tol in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            match_class(class_pattern(ClassParams("F8", 1.0)), tol=tol)
 
 
 def test_check_structure_flags_traceful_phi():
@@ -177,42 +164,37 @@ def test_f0_params_must_vanish():
         ClassParams("F3")
 
 
-# --- classification ----------------------------------------------------------
+# --- matching a tensor to the classes -----------------------------------------
+#
+# classify_manifold recovers the parameters by projecting F onto the 14 rows
+# of _BASIS, a step that levicivita._fused_map folds into its (23, 9) map.
+
+
+def project(f):
+    """(alpha, beta) of every class: f's projection onto _BASIS."""
+    coef = (_BASIS @ np.reshape(f, 27) / _NORM_SQ).tolist()
+    return dict(zip(CLASS_IDS, zip(coef[::2], coef[1::2])))
 
 
 def test_match_zero_tensor():
-    report = match_class(np.zeros((3, 3, 3)), 1e-12)
-    assert report.verdict == ["F0"]
-    assert report.residual == 0.0
-    assert report.alpha == report.beta == 0.0
+    assert set(project(np.zeros((3, 3, 3))).values()) == {(0.0, 0.0)}
 
 
 def test_match_round_trip_single_class():
-    report = match_class(class_pattern(ClassParams("F8", 1.5)), 1e-12)
-    assert report.verdict == ["F8"]
-    assert report.alpha == 1.5
-    assert report.residual == 0.0
-
-
-def test_match_unclassified_component():
-    f = np.zeros((3, 3, 3))
-    f[0, 1, 2] = 1.0  # touches no pattern support
-    report = match_class(f, 1e-12)
-    assert "unclassified" in report.verdict
-    assert report.residual == 1.0
+    params = project(class_pattern(ClassParams("F8", 1.5)))
+    assert params.pop("F8") == (1.5, 0.0)
+    assert set(params.values()) == {(0.0, 0.0)}
 
 
 @pytest.mark.parametrize("cid", CLASS_IDS)
 def test_match_round_trip_grid(cid):
+    # on these short dyadic values every product and sum is exact, in any order
     betas = PARAM_GRID if cid in TWO_PARAMETER_CLASSES else (0.0,)
     for alpha in PARAM_GRID:
         for beta in betas:
-            report = match_class(class_pattern(ClassParams(cid, alpha, beta)), 1e-12)
-            assert report.verdict == [cid]
-            assert abs(report.alpha - alpha) <= 1e-12
-            if cid in TWO_PARAMETER_CLASSES:
-                assert abs(report.beta - beta) <= 1e-12
-            assert report.residual <= 1e-12
+            params = project(class_pattern(ClassParams(cid, alpha, beta)))
+            assert params.pop(cid) == (alpha, beta)
+            assert set(params.values()) == {(0.0, 0.0)}
 
 
 @pytest.mark.parametrize(
@@ -221,23 +203,15 @@ def test_match_round_trip_grid(cid):
 def test_match_decomposes_two_class_sums(first, second):
     pa = ClassParams(first, 0.75, -1.25 if first in TWO_PARAMETER_CLASSES else 0.0)
     pb = ClassParams(second, -0.5, 2.0 if second in TWO_PARAMETER_CLASSES else 0.0)
-    report = match_class(class_pattern(pa) + class_pattern(pb), 1e-12)
-    assert report.verdict == sorted([first, second], key=CLASS_IDS.index)
-    assert report.params[first] == pytest.approx((pa.alpha, pa.beta), abs=1e-13)
-    assert report.params[second] == pytest.approx((pb.alpha, pb.beta), abs=1e-13)
-    assert report.residual <= 1e-12
+    params = project(class_pattern(pa) + class_pattern(pb))
+    assert params.pop(first) == (pa.alpha, pa.beta)
+    assert params.pop(second) == (pb.alpha, pb.beta)
+    assert set(params.values()) == {(0.0, 0.0)}
 
 
 def test_basis_orthogonal_and_all_seven_recovered():
     # the 14 (class, parameter) unit patterns; one-parameter classes have a zero beta row
-    rows = np.array(
-        [
-            class_pattern(ClassParams(cid, alpha, beta)).ravel()
-            for cid in CLASS_IDS
-            for alpha, beta in ((1.0, 0.0), (0.0, float(cid in TWO_PARAMETER_CLASSES)))
-        ]
-    )
-    gram = rows @ rows.T
+    gram = _BASIS @ _BASIS.T
     assert np.array_equal(np.diag(gram), [8, 8, 4, 0, 4, 0, 4, 0, 4, 0, 8, 0, 2, 2])
     assert np.array_equal(gram - np.diag(np.diag(gram)), np.zeros((14, 14)))
 
@@ -249,25 +223,9 @@ def test_basis_orthogonal_and_all_seven_recovered():
     }
     f = sum(class_pattern(ClassParams(cid, *ab)) for cid, ab in truth.items())
     scale = np.max(np.abs(f))
-    report = match_class(f, 1e-12)
-    assert report.verdict == list(CLASS_IDS)
+    params = project(f)
     for cid, ab in truth.items():
-        assert report.params[cid] == pytest.approx(ab, rel=0, abs=1e-15 * scale), cid
-    assert report.residual <= 1e-15 * scale
-
-
-def test_match_rejects_non_finite():
-    f = np.zeros((3, 3, 3))
-    f[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        match_class(f)
-
-
-def test_match_rejects_projection_overflow():
-    # finite components whose projection leaves double range
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="overflow double precision"):
-            match_class(np.full((3, 3, 3), 1e308))
+        assert params[cid] == pytest.approx(ab, rel=0, abs=1e-15 * scale), cid
 
 
 @given(
@@ -278,10 +236,7 @@ def test_match_rejects_projection_overflow():
 @settings(max_examples=120)
 def test_match_round_trip_random_params(cid, alpha, beta):
     p = ClassParams(cid, alpha, beta if cid in TWO_PARAMETER_CLASSES else 0.0)
-    report = match_class(class_pattern(p), 1e-12)
-    assert report.verdict == [cid]
-    assert report.alpha == pytest.approx(p.alpha, abs=1e-12)
-    assert report.beta == pytest.approx(p.beta, abs=1e-12)
+    assert project(class_pattern(p))[cid] == pytest.approx((p.alpha, p.beta), abs=1e-12)
 
 
 # --- JSON, read by the command line ------------------------------------------
@@ -300,8 +255,3 @@ def test_class_params_json_round_trip(tmp_path, capsys):
     path.write_text(json.dumps({"class": "f7", "alpha": 1.0}), encoding="utf-8")
     assert main(["classify", str(path)]) == 2
     assert "unknown class id 'F7'" in capsys.readouterr().err
-
-
-def test_ftensor_validates():
-    with pytest.raises(ValueError):
-        ftensor(np.full((3, 3, 3), np.inf))
