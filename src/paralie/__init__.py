@@ -26,11 +26,9 @@ from .mat3 import (
     Mat3,
     Vec3,
     expm_oracle,
-    mat3,
     max_abs,
     trace,
     trace_sq,
-    vec3,
 )
 from .structure import (
     CLASS_IDS,

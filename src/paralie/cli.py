@@ -29,8 +29,11 @@ PARAM_GRID = (-2.0, -1.0, 0.5, 1.0, 2.0)
 COORD_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
 ROUNDTRIP_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
-SMALL_PARAM_GRID = (-1.0, 1.0)
-SMALL_COORD_GRID = (-1.0, 0.0, 1.0)
+# verify's grids by name: (parameters, coordinates, round-trip parameters)
+GRIDS = {
+    "small": ((-1.0, 1.0), (-1.0, 0.0, 1.0), (-1.0, 1.0)),
+    "full": (PARAM_GRID, COORD_GRID, ROUNDTRIP_GRID),
+}
 
 
 # --- verification grids -----------------------------------------------------
@@ -124,36 +127,12 @@ def _read_constants(path: str) -> StructureConstants:
     raise ValueError('constants JSON must carry key "C" or key "class"')
 
 
-def render_json(value, indent: int = 0) -> str:
-    """JSON with floats at 17 significant digits for reproducibility.
+def render_json(value) -> str:
+    """JSON with every float as the shortest text that reads back to it.
 
-    numpy arrays are written as nested lists.
+    numpy arrays are written as nested lists, with negative zeros cleared.
     """
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            return "[" + ", ".join(render_json(v) for v in value) + "]"
-        items = [f"{pad}  {render_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value) + 0.0, ".17g")
-    if value is None:
-        return "null"
-    return json.dumps(value)
+    return json.dumps(value, indent=2, allow_nan=False, default=lambda a: (a + 0.0).tolist())
 
 
 # --- text output ------------------------------------------------------------
@@ -255,10 +234,7 @@ def cmd_exp(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.grid == "small":
-        params, coords, rt = SMALL_PARAM_GRID, SMALL_COORD_GRID, SMALL_PARAM_GRID
-    else:
-        params, coords, rt = PARAM_GRID, COORD_GRID, ROUNDTRIP_GRID
+    params, coords, rt = GRIDS[args.grid]
     exp_res = run_exp_grid(params, coords)
     rt_res = run_roundtrip_grid(rt)
     ok = True
@@ -301,15 +277,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
-def _class_id(token: str) -> str:
-    cid = token.upper()
-    if cid not in CLASS_IDS + ("F0",):
-        raise argparse.ArgumentTypeError(
-            f"unknown class {token!r} (expected one of f0 f1 f4 f5 f8 f9 f10 f11)"
-        )
-    return cid
-
-
 def _coords(token: str) -> tuple[float, float, float]:
     parts = token.split(",")
     if len(parts) != 3:
@@ -341,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("construct", help="structure constants of a class algebra")
-    sp.add_argument("--class", dest="class_id", type=_class_id, required=True)
+    sp.add_argument("--class", dest="class_id", type=str.upper, required=True)
     sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--format", choices=("text", "json"), default="text")
@@ -352,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=_tol, default=1e-12, help="verdict threshold")
 
     sp = sub.add_parser("exp", help="closed-form exponential of a class element")
-    sp.add_argument("--class", dest="class_id", type=_class_id, required=True)
+    sp.add_argument("--class", dest="class_id", type=str.upper, required=True)
     sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--coords", type=_coords, default=(0.0, 0.0, 0.0))
@@ -360,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("verify", help="run the verification grids")
-    sp.add_argument("--grid", choices=("small", "full"), default="full")
+    sp.add_argument("--grid", choices=GRIDS, default="full")
     sp.add_argument("--tol", type=_tol, default=1e-12, help="pass threshold per class")
 
     sp = sub.add_parser("table", help="numeric per-class exponential table")

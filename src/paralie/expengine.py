@@ -13,7 +13,8 @@ at every input.  With r = sqrt(|z|), h = r/2 and f = sinh for z > 0, sin for
 z < 0 (the trigonometric regime of F8 and F10), t = f(r)/r and
 u = (f(h)/h)^2 / 2, the half-angle form of (cosh r - 1)/z that does not
 cancel.  The one special case is the removable singularity at an exact zero:
-t = 1 at k = 0, and (t, u) = (1, 1/2) at z = 0.
+t = 1 at k = 0, and (t, u) = (1, 1/2) at z = 0.  The quadratic classes never
+form A^2, so for them only tr A and exp(A) = E + t*A itself can overflow.
 """
 
 from __future__ import annotations
@@ -75,13 +76,13 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError("coordinates must be finite")
 
+    quadratic = p.class_id in _TRACE_FACTOR
     # Overflow anywhere below, in numpy or in math, ends in the one raise at
     # the end: expA turns non-finite, with no warning and no chained traceback.
     with np.errstate(over="ignore", invalid="ignore"):
         A = adjoint_rep(class_algebra(p), a, b, c)
-        A2 = A @ A
         try:
-            if p.class_id in _TRACE_FACTOR:
+            if quadratic:
                 k = _TRACE_FACTOR[p.class_id] * _finite(trace(A))
                 t = math.expm1(k) / k if k else 1.0
                 u = 0.0
@@ -98,7 +99,8 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
                     branch = "generic" if z or A[1:, 1:].any() else "trA2_zero"
         except OverflowError:  # math.expm1/sinh, or a trace, past double range
             t = u = math.inf
-        expA = _E + t * A + u * A2
+        # u = 0 needs no A^2, which overflows long before E + t*A does
+        expA = _E + t * A if quadratic else _E + t * A + u * (A @ A)
     if not np.isfinite(expA).all():
         raise ValueError("exponential overflows double precision at these parameters")
     return ExpResult(A=A, t=t, u=u, branch=branch, expA=expA)

@@ -1,8 +1,9 @@
 """Dense 3x3 matrix helpers on top of numpy.
 
-Matrices are plain ``(3, 3)`` float64 arrays and vectors are ``(3,)`` arrays.
-``mat3``/``vec3`` validate shape and finiteness once; the remaining helpers
-assume well-formed input.  The exponential here is a deliberately simple
+Matrices are plain ``(3, 3)`` float64 arrays and vectors are ``(3,)``
+arrays, built with ``np.array``; the helpers assume well-formed input.
+``trace`` and ``max_abs`` return Python floats, and ``trace_sq`` fixes the
+rounding of tr(A^2).  The exponential here is a deliberately simple
 scaling-and-squaring series, kept independent from the closed-form group
 exponentials so it can serve as their numerical referee.
 """
@@ -15,22 +16,6 @@ import numpy as np
 
 Mat3 = np.ndarray
 Vec3 = np.ndarray
-
-
-def mat3(entries) -> Mat3:
-    """Build a validated 3x3 float matrix (row-major)."""
-    m = np.asarray(entries, dtype=float).reshape(3, 3)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
-def vec3(components) -> Vec3:
-    """Build a validated 3-component float vector."""
-    v = np.asarray(components, dtype=float).reshape(3)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector components must be finite")
-    return v
 
 
 def trace(a: Mat3) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mat3 import Mat3, Vec3, mat3, max_abs, trace, vec3
+from .mat3 import Mat3, Vec3, max_abs, trace
 
 CLASS_IDS = ("F1", "F4", "F5", "F8", "F9", "F10", "F11")
 TWO_PARAMETER_CLASSES = ("F1", "F11")
@@ -50,11 +50,10 @@ class PhiBasisStructure:
 
 def standard_structure() -> PhiBasisStructure:
     """The canonical structure: phi swaps e1 and e2, xi = eta = e0, g = E."""
-    phi = mat3([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     return PhiBasisStructure(
-        phi=phi,
-        xi=vec3([1.0, 0.0, 0.0]),
-        eta=vec3([1.0, 0.0, 0.0]),
+        phi=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+        xi=np.array([1.0, 0.0, 0.0]),
+        eta=np.array([1.0, 0.0, 0.0]),
         g=np.eye(3),
     )
 
@@ -100,7 +99,8 @@ class ClassParams:
 
     def __post_init__(self):
         if self.class_id not in CLASS_IDS + ("F0",):
-            raise ValueError(f"unknown class id {self.class_id!r}")
+            raise ValueError(
+                f"unknown class id {self.class_id!r} (expected one of F0 {' '.join(CLASS_IDS)})")
         # stored as Python floats, so arithmetic past double range gives inf
         # rather than a numpy warning
         try:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -6,8 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from paralie.cli import main, render_json, run_exp_grid, run_roundtrip_grid
-from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES
+from paralie.cli import main, run_exp_grid, run_roundtrip_grid, table_rows
+from paralie.expengine import closed_form
+from paralie.levicivita import classify_manifold
+from paralie.lie import class_algebra, jacobi_defect, structure_constants
+from paralie.mat3 import expm_oracle, max_abs
+from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams
 
 
 def run_cli(capsys, *argv):
@@ -323,12 +328,72 @@ def test_table_zero_parameters(capsys):
 # --- output format -------------------------------------------------------------
 
 
-def test_json_floats_round_trip_17_digits():
-    rendered = render_json({"x": 0.1, "y": 1.0 / 3.0, "z": [1e-12, -2.5]})
-    parsed = json.loads(rendered)
-    assert parsed["x"] == 0.1
-    assert parsed["y"] == 1.0 / 3.0
-    assert parsed["z"] == [1e-12, -2.5]
+def leaves(value, path=()):
+    """(path, leaf) pairs of a JSON value, each float as float.hex.
+
+    numpy arrays count as their nested lists with negative zeros cleared,
+    as the wire format writes them.  float.hex keeps the sign of zero, and
+    a float that read back as an int would not match.
+    """
+    if isinstance(value, np.ndarray):
+        value = (value + 0.0).tolist()
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from leaves(v, path + (key,))
+    elif isinstance(value, (list, tuple)):
+        for n, v in enumerate(value):
+            yield from leaves(v, path + (n,))
+    else:
+        yield path, value.hex() if isinstance(value, float) else value
+
+
+def test_json_floats_are_the_library_values_bit_for_bit(tmp_path, capsys):
+    # every float that a command prints reads back to the library's double;
+    # F1 at beta = 0 has C_21^2 = -beta = -0.0, written as 0.0
+    third = 1.0 / 3.0
+    f1 = ClassParams("F1", 0.1)
+    c = structure_constants(class_algebra(f1))
+    assert math.copysign(1.0, c[2, 1, 2]) == -1.0
+    f8 = structure_constants(class_algebra(ClassParams("F8", 1e-300)))
+    res = closed_form(ClassParams("F11", 0.3, -1.7), 0.1, third, -2.5)
+    mixed = class_algebra(ClassParams("F4", 0.1)) + class_algebra(ClassParams("F5", third))
+    report = classify_manifold(mixed)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"C": mixed.tolist()}), encoding="utf-8")
+    cases = [
+        (("construct", "--class", "f1", "--alpha", "0.1"),
+         {"C": c, "jacobi_defect": jacobi_defect(c)}),
+        (("construct", "--class", "f8", "--alpha", "1e-300"),
+         {"C": f8, "jacobi_defect": jacobi_defect(f8)}),
+        (("exp", "--class", "f11", "--alpha", "0.3", "--beta", "-1.7",
+          f"--coords=0.1,{third!r},-2.5", "--oracle"),
+         dict(vars(res), oracle_residual=max_abs(res.expA - expm_oracle(res.A, 1e-15)))),
+        (("table", "--alpha", "0.1", "--beta", repr(third)),
+         table_rows(0.1, third, 1.0, 1.0, 1.0)),
+        (("classify", str(path)),
+         {"verdict": report.verdict, "alpha": report.alpha, "beta": report.beta,
+          "lee": vars(report.lee), "para_sasakian": report.para_sasakian,
+          "classes": {cid: {"alpha": a, "beta": b} for cid, (a, b) in report.params.items()
+                      if cid in report.verdict}}),
+    ]
+    assert report.verdict == ["F4", "F5"]
+    for argv, expected in cases:
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert list(leaves(json.loads(out))) == list(leaves(expected)), argv
+
+
+def test_unknown_class_same_message_from_flag_and_json(tmp_path, capsys):
+    # ClassParams is the one check for --class and for classify's "class"
+    path = tmp_path / "f7.json"
+    path.write_text('{"class": "f7"}', encoding="utf-8")
+    errors = set()
+    for argv in (("construct", "--class", "f7"), ("exp", "--class", "f7"), ("classify", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        errors.add(err)
+    (err,) = errors
+    assert err.startswith("error: unknown class id 'F7'") and "F11" in err
 
 
 def test_every_json_output_is_strict_json(tmp_path, capsys):

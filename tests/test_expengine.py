@@ -125,7 +125,7 @@ def test_rejects_f0_and_non_finite():
 def test_rejects_overflowing_parameters():
     # the group element leaves double range; surfaced, never returned as NaN
     cases = [
-        (ClassParams("F5", 1e300), (1.0, 0.0, 0.0)),
+        (ClassParams("F5", 1e300), (-1.0, 0.0, 0.0)),
         (ClassParams("F4", 1.0), (1e6, 0.0, 0.0)),
         # math.sinh/expm1 overflow inside the scalar coefficients
         (ClassParams("F4", 1.0, 1.0), (800.0, 0.0, 0.0)),
@@ -137,15 +137,51 @@ def test_rejects_overflowing_parameters():
             closed_form(p, *coords)
 
 
+# (alpha = beta, coords) where exp(A) leaves double range; F1 and F5 take
+# other coordinates at alpha = 1, where these give a finite exp(A)
+# (test_quadratic_classes_return_finite_exponentials_past_a_squared)
+GROWING = ((1.0, (1e200,) * 3), (1e200, (1e200,) * 3), (1.0, (-1e308,) * 3))
+GROWING_QUADRATIC = {
+    "F1": ((1.0, (0.0, -1e200, 1e200)), GROWING[1], (1.0, (0.0, -1e308, 1e308))),
+    "F5": ((1.0, (-1e200,) * 3), GROWING[1], GROWING[2]),
+}
+
+
 @pytest.mark.parametrize("cid", CLASS_IDS)
 def test_overflow_raises_without_warning(cid):
-    # tr A^2 (or tr A) itself overflows: the documented ValueError, no
-    # numpy RuntimeWarning and no math domain error
-    for alpha, coords in ((1.0, (1e200,) * 3), (1e200, (1e200,) * 3), (1.0, (-1e308,) * 3)):
+    # tr A^2 (or tr A) itself overflows, or exp(A) does: the documented
+    # ValueError, no numpy RuntimeWarning and no math domain error
+    for alpha, coords in GROWING_QUADRATIC.get(cid, GROWING):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows double precision"):
                 closed_form(ClassParams(cid, alpha, alpha), *coords)
+
+
+@pytest.mark.parametrize(
+    "p,coords,expected",
+    [
+        (ClassParams("F5", 1.0), (1e160, 0.0, 0.0), [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+        (ClassParams("F5", 1.0, 1.0), (1e200,) * 3, [[1, 1, 1], [0, 0, 0], [0, 0, 0]]),
+        (ClassParams("F1", 1.0, 1.0), (0.0, 1e200, 1e200),
+         [[1, 0, 0], [0, 1e200, 1e200], [0, -1e200, -1e200]]),
+        (ClassParams("F1", 1.0, 1.0), (1e200,) * 3,
+         [[1, 0, 0], [0, 1e200, 1e200], [0, -1e200, -1e200]]),
+        (ClassParams("F1", 1.0, 1.0), (-1e308,) * 3,
+         [[1, 0, 0], [0, -1e308, -1e308], [0, 1e308, 1e308]]),
+        (ClassParams("F11", 1.0), (0.0, -1e200, 0.0), [[0, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ],
+    ids=["F5", "F5-1e200", "F1", "F1-1e200", "F1-1e308", "F11"],
+)
+def test_quadratic_classes_return_finite_exponentials_past_a_squared(p, coords, expected):
+    # max|A| >= 1e160, so A @ A overflows, but exp(A) = E + t*A does not:
+    # at a large negative k, t = -1/k scales A back into range, and F1's
+    # tr A = 0 gives E + A
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = closed_form(p, *coords)
+    assert max_abs(res.A) >= 1e160 and res.u == 0.0
+    assert np.array_equal(res.expA, np.array(expected, dtype=float))
 
 
 # --- oracle agreement ------------------------------------------------------------

@@ -1,4 +1,3 @@
-import importlib
 import math
 import warnings
 
@@ -7,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paralie.mat3 import ORACLE_MAX_NORM, expm_oracle, mat3, max_abs, trace, trace_sq, vec3
+from paralie import mat3
+from paralie.mat3 import ORACLE_MAX_NORM, expm_oracle, max_abs, trace, trace_sq
 from reference import Annihilator, annihilator
-
-MAT3 = importlib.import_module("paralie.mat3")  # the package exports a function of that name
 
 
 def small_matrices(limit):
@@ -21,20 +19,13 @@ def small_matrices(limit):
     ).map(lambda v: np.array(v).reshape(3, 3))
 
 
-def test_constructors_reject_non_finite():
-    with pytest.raises(ValueError):
-        mat3([[0, 0, 0], [0, np.nan, 0], [0, 0, 0]])
-    with pytest.raises(ValueError):
-        vec3([1.0, np.inf, 0.0])
-
-
 def test_trace_and_trace_sq():
     assert trace(np.eye(3)) == 3.0
     # F1 representation matrix with alpha=1, beta=-1, b=c=1 has trace 2
-    a = mat3([[0, 0, 0], [0, 1, -1], [0, -1, 1]])
+    a = np.array([[0, 0, 0], [0, 1, -1], [0, -1, 1]], dtype=float)
     assert trace(a) == 2.0
     # rotation-type block: tr(A^2) = -2
-    r = mat3([[0, 0, 0], [0, 0, -1], [0, 1, 0]])
+    r = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float)
     assert trace_sq(r) == -2.0
     assert trace_sq(a) == pytest.approx(trace(a @ a), abs=0)
 
@@ -44,7 +35,7 @@ def test_expm_oracle_zero():
 
 
 def test_expm_oracle_hyperbolic_block():
-    a = mat3([[0, 0, 0], [0, 0, -1], [0, -1, 0]])
+    a = np.array([[0, 0, 0], [0, 0, -1], [0, -1, 0]], dtype=float)
     expected = np.array(
         [
             [1, 0, 0],
@@ -56,7 +47,7 @@ def test_expm_oracle_hyperbolic_block():
 
 
 def test_expm_oracle_rotation_block():
-    a = mat3([[0, 0, 0], [0, 0, -1], [0, 1, 0]])
+    a = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float)
     expected = np.array(
         [
             [1, 0, 0],
@@ -70,7 +61,7 @@ def test_expm_oracle_rotation_block():
 def test_expm_oracle_large_norm_rotation():
     # norm-50 input exercises the deep-squaring path; the image is a plane
     # rotation by 50 radians, so every entry is known in closed form
-    a = mat3([[0, 0, 0], [0, 0, -50], [0, 50, 0]])
+    a = np.array([[0, 0, 0], [0, 0, -50], [0, 50, 0]], dtype=float)
     expected = np.array(
         [
             [1, 0, 0],
@@ -114,7 +105,7 @@ def test_expm_oracle_refuses_norms_past_its_range():
 def test_expm_oracle_refuses_a_double_longdouble(monkeypatch):
     # where longdouble is a plain double the referee is no better than the
     # closed forms it checks
-    monkeypatch.setattr(MAT3, "_LONGDOUBLE_EPS", 2.0**-52)
+    monkeypatch.setattr(mat3, "_LONGDOUBLE_EPS", 2.0**-52)
     with pytest.raises(ValueError, match="extended-precision longdouble"):
         expm_oracle(np.eye(3))
 
@@ -152,7 +143,7 @@ def test_annihilator_zero_matrix():
 
 def test_annihilator_quadratic():
     # A^2 = 2A for this rank-one-plus-trace matrix; kappa equals the trace
-    a = mat3([[0, 0, 0], [0, 1, -1], [0, -1, 1]])
+    a = np.array([[0, 0, 0], [0, 1, -1], [0, -1, 1]], dtype=float)
     assert np.array_equal(a @ a, 2.0 * a)
     result = annihilator(a, 1e-12)
     assert result.kind == "quadratic"
@@ -161,7 +152,7 @@ def test_annihilator_quadratic():
 
 def test_annihilator_cubic():
     # rotation generator: A^3 = -A, kappa = tr(A^2)/2 = -1
-    a = mat3([[0, 0, 0], [0, 0, -1], [0, 1, 0]])
+    a = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=float)
     assert np.array_equal(a @ a @ a, -a)
     result = annihilator(a, 1e-12)
     assert result.kind == "cubic"
@@ -169,14 +160,14 @@ def test_annihilator_cubic():
 
 
 def test_annihilator_none_for_generic_matrix():
-    a = mat3([[1, 1, 0], [0, 2, 1], [0, 0, 3]])
+    a = np.array([[1, 1, 0], [0, 2, 1], [0, 0, 3]], dtype=float)
     assert annihilator(a, 1e-9) is None
 
 
 @given(st.floats(-8, 8, allow_nan=False).filter(lambda x: abs(x) > 0.05))
 @settings(max_examples=80)
 def test_annihilator_scale_equivariance(c):
-    a = mat3([[0, 0, 0], [0, 1, -1], [0, -1, 1]])
+    a = np.array([[0, 0, 0], [0, 1, -1], [0, -1, 1]], dtype=float)
     base = annihilator(a, 1e-9)
     scaled = annihilator(c * a, 1e-9)
     assert base.kind == scaled.kind == "quadratic"
