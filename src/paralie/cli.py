@@ -225,8 +225,12 @@ def cmd_exp(args: argparse.Namespace) -> int:
         print(format_matrix(res.A))
         print("exp(A) =")
         print(format_matrix(res.expA))
-        with np.errstate(over="ignore"):  # a determinant past double range is inf
-            det = np.linalg.det(res.expA)
+        # det exp(A) = e^{tr A} exactly, where the rounded exp(A) may have
+        # lost it; past double range it is inf
+        try:
+            det = math.exp(trace(res.A))
+        except OverflowError:
+            det = math.inf
         print(f"det(exp(A)) = {det:.12g}")
         if args.oracle:
             print(f"oracle residual = {residual:.3e}")

@@ -15,6 +15,14 @@ u = (f(h)/h)^2 / 2, the half-angle form of (cosh r - 1)/z that does not
 cancel.  The one special case is the removable singularity at an exact zero:
 t = 1 at k = 0, and (t, u) = (1, 1/2) at z = 0.  The quadratic classes never
 form A^2, so for them only tr A and exp(A) = E + t*A itself can overflow.
+
+Each call is nine numbers, so the scalar work runs on Python floats: A is
+read once as its nine entries, and tr A, tr A^2, t, u, the label, the
+entries of E + t*A + u*A^2 and their finiteness check all take those floats,
+in the order the numpy expressions used, before one np.array makes exp(A).
+numpy keeps the steps whose rounding it owns: class_algebra, adjoint_rep's
+matrix product, and the A @ A of the cubic classes, where BLAS may fuse a
+multiply and an add (F8's diagonal) in a way Python floats cannot repeat.
 """
 
 from __future__ import annotations
@@ -25,15 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import adjoint_rep, class_algebra
-from .mat3 import Mat3, trace, trace_sq
+from .mat3 import Mat3, _trace_sq
 from .structure import CLASS_IDS, ClassParams
 
 # k = factor * tr(A) for the quadratic-identity classes; the remaining
 # classes (F4, F8, F9, F10) take the cubic route
 _TRACE_FACTOR = {"F1": 1.0, "F5": 0.5, "F11": 1.0}
 
-_E = np.eye(3)  # the identity, shared read-only by every call
-_E.flags.writeable = False
+_E = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the identity's entries in row order
 
 
 @dataclass(eq=False)
@@ -77,32 +84,39 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
         raise ValueError("coordinates must be finite")
 
     quadratic = p.class_id in _TRACE_FACTOR
-    # Overflow anywhere below, in numpy or in math, ends in the one raise at
-    # the end: expA turns non-finite, with no warning and no chained traceback.
+    # Overflow anywhere below, in numpy or in the float arithmetic, ends in
+    # the one raise at the end: exp(A) turns non-finite, with no warning.
     with np.errstate(over="ignore", invalid="ignore"):
         A = adjoint_rep(class_algebra(p), a, b, c)
-        try:
-            if quadratic:
-                k = _TRACE_FACTOR[p.class_id] * _finite(trace(A))
-                t = math.expm1(k) / k if k else 1.0
-                u = 0.0
-                branch = "generic" if k else "trace_zero"
+        sq = () if quadratic else (A @ A).reshape(9).tolist()
+    v = A.reshape(9).tolist()
+    try:
+        if quadratic:
+            k = _TRACE_FACTOR[p.class_id] * _finite(v[0] + v[4] + v[8])  # tr A
+            t = math.expm1(k) / k if k else 1.0
+            u = 0.0
+            branch = "generic" if k else "trace_zero"
+        else:
+            z = 0.5 * _finite(_trace_sq(v))
+            t, u = _cubic(z)
+            # z underflows before A does, so an exact zero is read on A: all
+            # of it for F8, otherwise the a*E0 block (rows and columns 1, 2)
+            # that carries tr A^2
+            if p.class_id == "F8":
+                branch = "generic" if z or any(v) else "zero_matrix"
             else:
-                z = 0.5 * _finite(trace_sq(A))
-                t, u = _cubic(z)
-                # z underflows before A does, so an exact zero is read on A:
-                # all of it for F8, otherwise the a*E0 block (rows and
-                # columns 1, 2) that carries tr A^2
-                if p.class_id == "F8":
-                    branch = "generic" if z or A.any() else "zero_matrix"
-                else:
-                    branch = "generic" if z or A[1:, 1:].any() else "trA2_zero"
-        except OverflowError:  # math.expm1/sinh, or a trace, past double range
-            t = u = math.inf
-        # u = 0 needs no A^2, which overflows long before E + t*A does
-        expA = _E + t * A if quadratic else _E + t * A + u * (A @ A)
-    if not np.isfinite(expA).all():
+                branch = "generic" if z or v[4] or v[5] or v[7] or v[8] else "trA2_zero"
+    except OverflowError:  # math.expm1/sinh, or a trace, past double range
+        t = u = math.inf
+    # u = 0 needs no A^2, which overflows long before E + t*A does
+    if quadratic:
+        e = [d + t * x for d, x in zip(_E, v)]
+    else:
+        e = [d + t * x + u * y for d, x, y in zip(_E, v, sq)]
+    if not all(map(math.isfinite, e)):
         raise ValueError("exponential overflows double precision at these parameters")
+    expA = np.array(e)  # owns its data, unlike a reshaped view
+    expA.shape = (3, 3)
     return ExpResult(A=A, t=t, u=u, branch=branch, expA=expA)
 
 

@@ -150,5 +150,6 @@ def _ldexp(x: float, e: int) -> float:
 
 def adjoint_rep(c: StructureConstants, a: float, b: float, co: float) -> Mat3:
     """Matrix of the element with coordinates (a, b, co) on the frame."""
-    # one (3,) @ (3, 9) product; + 0.0 clears negative zeros
-    return -(np.array((a, b, co)) @ c.reshape(3, 9)).reshape(3, 3) + 0.0
+    # one (3,) @ (3, 9) product on the negated coordinates, exactly the
+    # negated product; + 0.0 clears negative zeros
+    return (np.array((-a, -b, -co)) @ c.reshape(3, 9)).reshape(3, 3) + 0.0

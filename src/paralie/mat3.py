@@ -23,14 +23,23 @@ def trace(a: Mat3) -> float:
 
 
 def trace_sq(a: Mat3) -> float:
-    """tr(A @ A) as the sum of A[j,k] * A[k,j], not read off a formed square.
+    """tr(A @ A) as the sum of the products A[j,k] * A[k,j], not read off a
+    formed square.
 
-    The ndarray ``sum`` method runs the same pairwise reduction as ``np.sum``
-    without its dispatch, so the value is the same to the last bit.  The
-    diagonal of ``A @ A`` sums the same products in another order and can
-    differ from it in the last bit.
+    The nine products q0..q8, in the row order of ``a * a.T``, are summed as
+    (((q0 + q1) + (q2 + q3)) + ((q4 + q5) + (q6 + q7))) + q8, the pairwise
+    order in which ``np.sum`` reduces nine terms, so the value is the same to
+    the last bit.  The diagonal of ``A @ A`` sums the same products in
+    another order and can differ from it in the last bit.
     """
-    return float((a * a.T).sum())
+    return _trace_sq(a.reshape(9).tolist())
+
+
+def _trace_sq(v: list) -> float:
+    """trace_sq on the nine entries of A in row order, as Python floats."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = v
+    return (((a00 * a00 + a01 * a10) + (a02 * a20 + a10 * a01))
+            + ((a11 * a11 + a12 * a21) + (a20 * a02 + a21 * a12))) + a22 * a22
 
 
 def max_abs(a) -> float:

@@ -8,7 +8,10 @@ zero, on a seeded sample of all seven classes whose parameters and
 coordinates span 300 decades either way; where they overflow, closed_form
 must raise its documented ValueError.  The one exception is F1, F5 and F11,
 whose u = 0 multiplied an A^2 that can overflow where E + t*A does not:
-there closed_form must return the replaced formulas' E + t*A.
+there closed_form must return the replaced formulas' E + t*A.  Fixed edge
+cases the sample never reaches (2 alpha past double range, signed zeros,
+an exact cancellation in A) are checked the same way with every warning an
+error.
 
 The validation gate shared by connection_coeffs, f_tensor and
 classify_manifold was rewritten to read C once.  Those three and
@@ -20,6 +23,7 @@ corruptions of them, and at and just below max|C| = 2**1023.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +162,45 @@ def test_closed_form_bit_identical_to_replaced_formulas(cid):
         assert res.expA.tobytes() == expA.tobytes(), (p, a, b, co)
     # both outcomes are exercised in bulk
     assert 300 < finite < 1400
+
+
+def edge_cases():
+    """(p, a, b, co) that the seeded draws never reach.
+
+    F8 at |alpha| = 1.5e308, whose C_12^0 = 2 alpha is inf, so a zero
+    coordinate makes inf * 0 = NaN in A; every class at alpha = -0.0 with
+    coordinates of signed zeros; and F11's two-term A[0][0] = b alpha + c beta
+    cancelling exactly.
+    """
+    cases = []
+    for alpha in (1.5e308, -1.5e308):
+        for coords in ((0.0, 1.0, 1.0), (1.0, 0.0, -0.0), (1e-310, 1e-310, 1e-310),
+                       (-1e-310, 1e-310, 0.0)):
+            cases.append((ClassParams("F8", alpha), *coords))
+    for cid in CLASS_IDS:
+        for coords in ((-0.0, 0.0, -0.0), (0.0, -0.0, 0.0), (-0.0, -0.0, -0.0)):
+            cases.append((ClassParams(cid, -0.0, -0.0), *coords))
+    for a in (0.0, 1.0, -1.0):
+        cases.append((ClassParams("F11", 2.0, 1.0), a, 0.5, -1.0))
+    return cases
+
+
+@pytest.mark.parametrize("p, a, b, co", edge_cases())
+def test_closed_form_bit_identical_at_edge_cases(p, a, b, co):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = replaced_closed_form(p, a, b, co)
+        if expected is None and p.class_id in ("F1", "F5", "F11"):
+            expected = replaced_linear_part(p, a, b, co)
+        if expected is None:
+            with pytest.raises(ValueError, match="overflows double precision"):
+                closed_form(p, a, b, co)
+            return
+        res = closed_form(p, a, b, co)
+    A, t, u, expA = expected
+    assert res.A.tobytes() == A.tobytes()
+    assert np.array([res.t, res.u]).tobytes() == np.array([t, u]).tobytes()
+    assert res.expA.tobytes() == expA.tobytes()
 
 
 # --- the validation gate ------------------------------------------------------

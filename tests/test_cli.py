@@ -221,6 +221,16 @@ def test_exp_determinant_past_double_range_is_inf_without_warning(capsys):
     assert "det(exp(A)) = inf" in out and err == ""
 
 
+def test_exp_determinant_is_e_to_the_trace_past_the_rounded_matrix(capsys):
+    # tr A = 1e200 - 1e200 = 0, so det exp(A) = 1; the entries 1 +- 1e200 of
+    # the rounded exp(A) have lost the identity, and its determinant was 0
+    code, out, err = run_cli(
+        capsys, "exp", "--class", "f1", "--alpha", "1", "--beta", "1", "--coords=0,1e200,1e200"
+    )
+    assert code == 0 and err == ""
+    assert "det(exp(A)) = 1\n" in out
+
+
 @pytest.mark.parametrize("coords", ["1e100,1e100,0", "1e150,0,0"])
 def test_exp_oracle_out_of_range_exit_2(capsys, coords):
     # the closed form is finite here; the referee used to print a NaN or a

@@ -30,6 +30,29 @@ def test_trace_and_trace_sq():
     assert trace_sq(a) == pytest.approx(trace(a @ a), abs=0)
 
 
+def test_trace_sq_sums_in_the_order_of_np_sum():
+    # Python floats in numpy's pairwise order for nine terms give np.sum's
+    # bytes, NaN included, over 300 decades either way, with zeros and
+    # infinite and NaN entries
+    rng = np.random.default_rng(79)
+    n = 12000
+    m = rng.choice([-1.0, 1.0], (n, 3, 3)) * 10.0 ** rng.uniform(-300, 300, (n, 3, 3))
+    m[:n // 2] = rng.normal(size=(n // 2, 3, 3))  # here the order decides the rounding
+    m[rng.random((n, 3, 3)) < 0.1] = 0.0
+    for value, share in ((math.inf, 0.005), (-math.inf, 0.005), (math.nan, 0.005)):
+        m[rng.random((n, 3, 3)) < share] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [np.float64(np.sum(a * a.T)).tobytes() for a in m]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [np.float64(trace_sq(a)).tobytes() for a in m]
+    assert got == expected
+    # every kind of value is met
+    kinds = {"nan" if math.isnan(x) else "inf" if math.isinf(x) else "finite"
+             for x in np.frombuffer(b"".join(got))}
+    assert kinds == {"nan", "inf", "finite"}
+
+
 def test_expm_oracle_zero():
     assert np.array_equal(expm_oracle(np.zeros((3, 3)), 1e-15), np.eye(3))
 
