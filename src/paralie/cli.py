@@ -264,6 +264,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     a, b, c = args.coords
     rows = table_rows(args.alpha, args.beta, a, b, c)
     if args.format == "json":
+        # F1, F5 and F11 never form A^2, so tr A^2 can overflow where exp(A)
+        # does not; strict JSON has no inf, so it is written as null
+        for row in rows:
+            if not math.isfinite(row["trace_sq"]):
+                row["trace_sq"] = None
         print(render_json(rows))
     else:
         print(

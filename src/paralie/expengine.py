@@ -16,12 +16,14 @@ cancel.  The one special case is the removable singularity at an exact zero:
 t = 1 at k = 0, and (t, u) = (1, 1/2) at z = 0.  The quadratic classes never
 form A^2, so for them only tr A and exp(A) = E + t*A itself can overflow.
 
-Each call is nine numbers, so the scalar work runs on Python floats: A is
-read once as its nine entries, and tr A, tr A^2, t, u, the label, the
-entries of E + t*A + u*A^2 and their finiteness check all take those floats,
-in the order the numpy expressions used, before one np.array makes exp(A).
-numpy keeps the steps whose rounding it owns: class_algebra, adjoint_rep's
-matrix product, and the A @ A of the cubic classes, where BLAS may fuse a
+Each call is nine numbers, so the scalar work runs on Python floats.  A's
+nine entries come straight from the coordinates and the class's bracket
+table (lie._ENTRIES): each nonzero C_ij^k subtracts x_i * C_ij^k from
+A[j][k], in i order, the products and sums lie.adjoint_rep forms on
+class_algebra's constants.  tr A, tr A^2, t, u, the label, the entries of
+E + t*A + u*A^2 and their finiteness check all take those floats, in the
+order the numpy expressions used, and one np.array each makes A and exp(A).
+numpy keeps only the A @ A of the cubic classes, where BLAS may fuse a
 multiply and an add (F8's diagonal) in a way Python floats cannot repeat.
 """
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import adjoint_rep, class_algebra
+from .lie import _ENTRIES, _values
 from .mat3 import Mat3, _trace_sq
 from .structure import CLASS_IDS, ClassParams
 
@@ -41,6 +43,15 @@ from .structure import CLASS_IDS, ClassParams
 _TRACE_FACTOR = {"F1": 1.0, "F5": 0.5, "F11": 1.0}
 
 _E = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the identity's entries in row order
+
+# Per class, the terms of A[j][k] = -(a C_0jk + b C_1jk + c C_2jk): (i, n, m)
+# for each nonzero C_ij^k of the bracket table, with n = 3j + k and m the
+# index of its value in lie._values, sorted so that each entry takes its
+# terms in i order
+_TERMS = {
+    cid: sorted(zip((flat // 9).tolist(), (flat % 9).tolist(), pick.tolist()))
+    for cid, (flat, pick) in _ENTRIES.items()
+}
 
 
 @dataclass(eq=False)
@@ -72,6 +83,17 @@ def _cubic(z: float) -> tuple[float, float]:
     return f(r) / r, 0.5 * fh * fh
 
 
+def _adjoint_entries(p: ClassParams, a: float, b: float, c: float) -> list:
+    """adjoint_rep(class_algebra(p), a, b, c) as its nine entries in row
+    order, Python floats formed straight from the bracket table."""
+    x = (float(a), float(b), float(c))  # no numpy scalar reaches the floats
+    w = _values(p)
+    v = [0.0] * 9
+    for i, n, m in _TERMS[p.class_id]:
+        v[n] -= x[i] * w[m]
+    return v
+
+
 def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
     """Group element exp(a*E0 + b*E1 + c*E2) in the family labelled by p.
 
@@ -86,10 +108,16 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
     quadratic = p.class_id in _TRACE_FACTOR
     # Overflow anywhere below, in numpy or in the float arithmetic, ends in
     # the one raise at the end: exp(A) turns non-finite, with no warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        A = adjoint_rep(class_algebra(p), a, b, c)
-        sq = () if quadratic else (A @ A).reshape(9).tolist()
-    v = A.reshape(9).tolist()
+    # Python floats never warn (0 * inf is NaN, as in numpy), and numpy's
+    # one product, the cubic classes' A @ A, is told not to.
+    v = _adjoint_entries(p, a, b, c)
+    A = np.array(v)
+    A.shape = (3, 3)
+    if quadratic:
+        sq = ()
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = (A @ A).reshape(9).tolist()
     try:
         if quadratic:
             k = _TRACE_FACTOR[p.class_id] * _finite(v[0] + v[4] + v[8])  # tr A

@@ -71,14 +71,14 @@ def _validated(v: list) -> tuple[list, float]:
 
 def _entries(brackets) -> tuple[np.ndarray, np.ndarray]:
     # flat index of each nonzero C[i][j][k] and of its mirror C[j][i][k],
-    # and which of class_algebra's values each one takes
+    # and which of _values' entries each one takes
     flat = [_flat(i, j, k) for i, j, k, _ in brackets]
     flat += [_flat(j, i, k) for i, j, k, _ in brackets]
     pick = [v for *_, v in brackets] + [v ^ 1 for *_, v in brackets]
     return np.array(flat, dtype=np.intp), np.array(pick, dtype=np.intp)
 
 
-# Per class, its brackets as (i, j, k, v): C_ij^k is entry v of
+# Per class, its brackets as (i, j, k, v): C_ij^k is entry v of _values,
 # (alpha, -alpha, 2 alpha, -2 alpha, beta, -beta), read off the table above;
 # the mirror C_ji^k takes entry v ^ 1, its negative.
 _ENTRIES = {
@@ -96,14 +96,18 @@ _ENTRIES = {
 }
 
 
+def _values(p: ClassParams) -> tuple:
+    # the values v of _ENTRIES; the products are Python floats, so 2*alpha
+    # past double range is inf without a numpy warning
+    al, bt = p.alpha, p.beta
+    return al, -al, 2.0 * al, -2.0 * al, bt, -bt
+
+
 def class_algebra(p: ClassParams) -> StructureConstants:
     """Structure constants of the family labelled by p (F0 gives zeros)."""
     flat, pick = _ENTRIES[p.class_id]
-    al, bt = p.alpha, p.beta
     c = np.zeros(27)
-    # the products are Python floats, so 2*alpha past double range is inf
-    # without a numpy warning
-    c[flat] = np.array((al, -al, 2.0 * al, -2.0 * al, bt, -bt))[pick]
+    c[flat] = np.array(_values(p))[pick]
     return c.reshape(3, 3, 3)
 
 

@@ -11,7 +11,9 @@ whose u = 0 multiplied an A^2 that can overflow where E + t*A does not:
 there closed_form must return the replaced formulas' E + t*A.  Fixed edge
 cases the sample never reaches (2 alpha past double range, signed zeros,
 an exact cancellation in A) are checked the same way with every warning an
-error.
+error.  closed_form now forms A from the bracket table, without
+class_algebra and adjoint_rep; that A must be adjoint_rep's byte for byte
+on the same sample and edge cases, NaN where both form 0 * inf.
 
 The validation gate shared by connection_coeffs, f_tensor and
 classify_manifold was rewritten to read C once.  Those three and
@@ -29,7 +31,7 @@ import numpy as np
 import pytest
 
 from paralie import levicivita
-from paralie.expengine import closed_form
+from paralie.expengine import _adjoint_entries, closed_form
 from paralie.levicivita import (
     _CLASSIFY,
     _INDEP,
@@ -39,7 +41,7 @@ from paralie.levicivita import (
     connection_coeffs,
     f_tensor,
 )
-from paralie.lie import class_algebra, jacobi_defect, structure_constants
+from paralie.lie import adjoint_rep, class_algebra, jacobi_defect, structure_constants
 from paralie.mat3 import trace
 from paralie.structure import CLASS_IDS, ClassParams, LeeForms, _report
 from reference import (
@@ -201,6 +203,28 @@ def test_closed_form_bit_identical_at_edge_cases(p, a, b, co):
     assert res.A.tobytes() == A.tobytes()
     assert np.array([res.t, res.u]).tobytes() == np.array([t, u]).tobytes()
     assert res.expA.tobytes() == expA.tobytes()
+
+
+def test_entries_match_adjoint_rep_of_class_algebra():
+    # closed_form's A, formed from the bracket table without the constants
+    # array, is adjoint_rep's A byte for byte, overflow included; where 2
+    # alpha is inf and a coordinate zero, both hold NaN (0 * inf) in the
+    # same places
+    rng = np.random.default_rng(75)
+    cases = [(ClassParams(cid, alpha, beta), a, b, co)
+             for cid in CLASS_IDS for alpha, beta, a, b, co in draws(rng, 1500)]
+    nan_seen = 0
+    for p, a, b, co in cases + edge_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array(_adjoint_entries(p, a, b, co)).reshape(3, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = adjoint_rep(class_algebra(p), a, b, co)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), (p, a, b, co)
+        assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes(), (p, a, b, co)
+        nan_seen += nan.any()
+    assert nan_seen
 
 
 # --- the validation gate ------------------------------------------------------

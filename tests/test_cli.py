@@ -335,6 +335,20 @@ def test_table_zero_parameters(capsys):
         assert row["u"] == (0.0 if row["class"] in ("F1", "F5", "F11") else 0.5)
 
 
+def test_table_json_writes_overflowed_trace_sq_as_null(capsys):
+    # F1's tr A^2 = (tr A)^2 = 1e320 overflows where its exp(A) does not:
+    # table_rows and the text format keep inf, JSON, which has no inf, null
+    argv = ("table", "--alpha", "0", "--beta", "1e200", "--coords=0,1e-40,0")
+    assert table_rows(0.0, 1e200, 0.0, 1e-40, 0.0)[0]["trace_sq"] == math.inf
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "trA2=inf" in out
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    rows = {row["class"]: row for row in json.loads(out)}
+    assert rows["F1"]["trace_sq"] is None and rows["F1"]["trace"] == -(1e-40 * 1e200)
+    assert all(row["trace_sq"] == 0.0 for cid, row in rows.items() if cid != "F1")
+
+
 # --- output format -------------------------------------------------------------
 
 
