@@ -23,8 +23,11 @@ A[j][k], in i order, the products and sums lie.adjoint_rep forms on
 class_algebra's constants.  tr A, tr A^2, t, u, the label, the entries of
 E + t*A + u*A^2 and their finiteness check all take those floats, in the
 order the numpy expressions used, and one np.array each makes A and exp(A).
-numpy keeps only the A @ A of the cubic classes, where BLAS may fuse a
-multiply and an add (F8's diagonal) in a way Python floats cannot repeat.
+A^2 runs on those floats too where each of its entries is one product,
+A[l] * A[r], as it is in F4, F9 and F10 (_SQUARE, derived from the same
+terms): a single product rounds the same whether or not BLAS fuses it with
+an add of zero.  numpy keeps only F8's A @ A, whose diagonal sums two
+products, and BLAS may fuse that sum in a way Python floats cannot repeat.
 """
 
 from __future__ import annotations
@@ -52,6 +55,19 @@ _TERMS = {
     cid: sorted(zip((flat // 9).tolist(), (flat % 9).tolist(), pick.tolist()))
     for cid, (flat, pick) in _ENTRIES.items()
 }
+
+
+def _square_terms(terms: list) -> list | None:
+    """A^2 over A's nonzero pattern in terms: (n, l, r) for each entry
+    A^2[n] = A[l] * A[r], or None where an entry sums two products."""
+    nonzero = sorted({n for _, n, _ in terms})
+    products = [(l - l % 3 + r % 3, l, r) for l in nonzero for r in nonzero if l % 3 == r // 3]
+    entries = [n for n, _, _ in products]
+    return products if len(set(entries)) == len(entries) else None
+
+
+# Per cubic class, its A^2 as single products, or None (F8) for A @ A
+_SQUARE = {cid: _square_terms(_TERMS[cid]) for cid in CLASS_IDS if cid not in _TRACE_FACTOR}
 
 
 @dataclass(eq=False)
@@ -85,8 +101,18 @@ def _cubic(z: float) -> tuple[float, float]:
 
 def _adjoint_entries(p: ClassParams, a: float, b: float, c: float) -> list:
     """adjoint_rep(class_algebra(p), a, b, c) as its nine entries in row
-    order, Python floats formed straight from the bracket table."""
-    x = (float(a), float(b), float(c))  # no numpy scalar reaches the floats
+    order, Python floats formed straight from the bracket table.
+
+    The coordinates are converted once with float(), so no numpy scalar
+    reaches the floats; what float() refuses, and a non-finite coordinate,
+    is a ValueError.
+    """
+    try:
+        x = x0, x1, x2 = float(a), float(b), float(c)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"coordinates must be real numbers ({a!r}, {b!r}, {c!r})") from None
+    if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError("coordinates must be finite")
     w = _values(p)
     v = [0.0] * 9
     for i, n, m in _TERMS[p.class_id]:
@@ -98,29 +124,34 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
     """Group element exp(a*E0 + b*E1 + c*E2) in the family labelled by p.
 
     Input must be one of the seven non-trivial classes; for F0 the
-    exponential is the identity and needs no formula.
+    exponential is the identity and needs no formula.  Coordinates that
+    float() refuses or that are not finite, and an exponential past double
+    range, raise ValueError.
     """
-    if p.class_id not in CLASS_IDS:
-        raise ValueError(f"closed_form is defined for {CLASS_IDS}, not {p.class_id!r}")
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise ValueError("coordinates must be finite")
+    cid = p.class_id
+    if cid not in CLASS_IDS:
+        raise ValueError(f"closed_form is defined for {CLASS_IDS}, not {cid!r}")
 
-    quadratic = p.class_id in _TRACE_FACTOR
+    quadratic = cid in _TRACE_FACTOR
     # Overflow anywhere below, in numpy or in the float arithmetic, ends in
     # the one raise at the end: exp(A) turns non-finite, with no warning.
     # Python floats never warn (0 * inf is NaN, as in numpy), and numpy's
-    # one product, the cubic classes' A @ A, is told not to.
+    # one product, F8's A @ A, is told not to.
     v = _adjoint_entries(p, a, b, c)
     A = np.array(v)
     A.shape = (3, 3)
     if quadratic:
         sq = ()
-    else:
+    elif _SQUARE[cid] is None:  # F8
         with np.errstate(over="ignore", invalid="ignore"):
             sq = (A @ A).reshape(9).tolist()
+    else:
+        sq = [0.0] * 9
+        for n, l, r in _SQUARE[cid]:
+            sq[n] = v[l] * v[r]
     try:
         if quadratic:
-            k = _TRACE_FACTOR[p.class_id] * _finite(v[0] + v[4] + v[8])  # tr A
+            k = _TRACE_FACTOR[cid] * _finite(v[0] + v[4] + v[8])  # tr A
             t = math.expm1(k) / k if k else 1.0
             u = 0.0
             branch = "generic" if k else "trace_zero"
@@ -130,7 +161,7 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
             # z underflows before A does, so an exact zero is read on A: all
             # of it for F8, otherwise the a*E0 block (rows and columns 1, 2)
             # that carries tr A^2
-            if p.class_id == "F8":
+            if cid == "F8":
                 branch = "generic" if z or any(v) else "zero_matrix"
             else:
                 branch = "generic" if z or v[4] or v[5] or v[7] or v[8] else "trA2_zero"

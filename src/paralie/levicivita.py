@@ -9,7 +9,9 @@ connection coefficients are linear in the structure constants:
 From there the covariant derivative of phi gives the frame components of the
 classifying tensor, closing the loop: algebra -> connection -> tensor ->
 class and parameters.  Every step is linear, so classification applies the
-composite once, as a fixed matrix on the nine independent constants.
+composite once: a fixed (23, 9) matrix on the nine independent constants,
+which the validation gate already holds as Python floats, evaluated as 23
+straight-line sums on those floats.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ class NotALieAlgebraError(ValueError):
         super().__init__(f"Jacobi identity violated (defect {defect:.3e})")
 
 
-def _lie_algebra(c: StructureConstants) -> np.ndarray:
-    """The flat components of C, once C is an algebra this package accepts.
+def _lie_algebra(c: StructureConstants) -> tuple[np.ndarray, list]:
+    """The flat components of C, and its nine independent ones P, Q, R
+    (flat[_INDEP]) as Python floats, once C is an algebra this package accepts.
 
     The one check between structure constants and the geometry, shared by
     connection_coeffs, f_tensor and classify_manifold: C must be real, finite
@@ -58,7 +61,7 @@ def _lie_algebra(c: StructureConstants) -> np.ndarray:
         raise NotALieAlgebraError(defect)
     if m >= 2.0**1023:
         raise ValueError("structure constants overflow double precision (max |C| >= 2**1023)")
-    return flat
+    return flat, pqr
 
 
 def connection_coeffs(c: StructureConstants) -> ConnectionCoeffs:
@@ -70,7 +73,7 @@ def connection_coeffs(c: StructureConstants) -> ConnectionCoeffs:
     antisymmetric or have max|C| >= 2**1023 raise ValueError; constants
     whose Jacobi defect exceeds JACOBI_TOL raise NotALieAlgebraError.
     """
-    return _koszul(_lie_algebra(c)).reshape(3, 3, 3)
+    return _koszul(_lie_algebra(c)[0]).reshape(3, 3, 3)
 
 
 def _koszul(c: np.ndarray) -> np.ndarray:
@@ -90,7 +93,7 @@ def f_tensor(c: StructureConstants) -> FTensor:
     phi is that of the standard structure on the orthonormal frame.  C is
     checked as in connection_coeffs.
     """
-    return _nabla_phi(_koszul(_lie_algebra(c))).reshape(3, 3, 3)
+    return _nabla_phi(_koszul(_lie_algebra(c)[0])).reshape(3, 3, 3)
 
 
 # Classification is linear in the nine independent constants C[i][j][k],
@@ -101,6 +104,8 @@ def f_tensor(c: StructureConstants) -> FTensor:
 # at most three per row, so a pure class is recovered exactly, and each
 # row's L1 norm is at most 2, so below max|C| = 2**1023 nothing overflows.
 # The patterns span every F that an algebra induces, so nothing is left over.
+# classify_manifold applies the map as _recover's sums; the matrix is their
+# definition, which the tests hold them to.
 _INDEP = np.flatnonzero(_I < _J)
 
 
@@ -115,10 +120,39 @@ def _fused_map() -> np.ndarray:
 _CLASSIFY = _fused_map()
 
 
+def _recover(pqr: list) -> tuple[list, LeeForms]:
+    """_CLASSIFY applied to P, Q, R as straight-line sums on Python floats:
+    the 14 class parameters and the Lee forms.
+
+    Each row keeps its nonzero terms only, so a product by +-1/2, +-1 or +-2
+    is exact (outside the subnormal range) and a row rounds once per sum,
+    as the matvec _CLASSIFY @ pqr does.  Row 10 (F10's alpha), the one
+    with three terms, sums them in the order (P2, R0, Q1) of the matvec on
+    x86-64 OpenBLAS; + 0.0 clears negative zeros.
+    """
+    p0, p1, p2, q0, q1, q2, r0, r1, r2 = pqr
+    p1h, p2h, q1h, q2h, r0h = 0.5 * p1, 0.5 * p2, 0.5 * q1, 0.5 * q2, 0.5 * r0
+    coef = [
+        r1 + 0.0, r2 + 0.0,  # F1
+        p2h + q1h + 0.0, 0.0,  # F4
+        p1h + q2h + 0.0, 0.0,  # F5
+        r0h + 0.0, 0.0,  # F8
+        p1h - q2h + 0.0, 0.0,  # F9
+        (r0h - p2h) + q1h + 0.0, 0.0,  # F10
+        p0 + 0.0, q0 + 0.0,  # F11
+    ]
+    lee = np.array((
+        p2 + q1 + 0.0, 2.0 * r1 + 0.0, -2.0 * r2 + 0.0,  # theta
+        p1 + q2 + 0.0, 2.0 * r2 + 0.0, -2.0 * r1 + 0.0,  # theta*
+        0.0, q0 + 0.0, p0 + 0.0,  # omega
+    ))
+    return coef, LeeForms(lee[:3], lee[3:6], lee[6:])
+
+
 def classify_manifold(c: StructureConstants, tol: float = 1e-12) -> ClassReport:
     """Classify the manifold carried by a Lie algebra with orthonormal frame.
 
-    C is checked as in connection_coeffs; tol is the verdict threshold.
+    C is checked as in connection_coeffs, then tol, the verdict threshold,
+    must be a positive finite number (ValueError).
     """
-    y = _CLASSIFY @ _lie_algebra(c)[_INDEP] + 0.0
-    return _report(y.tolist(), LeeForms(y[14:17], y[17:20], y[20:]), tol)
+    return _report(*_recover(_lie_algebra(c)[1]), tol)

@@ -16,7 +16,8 @@ of such tensors survive, each a one- or two-parameter pattern:
 
 F0 is the integrable case F = 0.  The 14 (class, parameter) patterns are
 stored once, as the rows of one orthogonal basis; levicivita folds the
-projection onto them into its classification map.
+projection onto them into its classification map, and the verdict is read
+off the 14 recovered parameters in one pass.
 """
 
 from __future__ import annotations
@@ -174,17 +175,28 @@ class ClassReport:
 
 def _report(coef: list, lee: LeeForms, tol: float) -> ClassReport:
     """The verdict on the 14 recovered parameters, alpha then beta of each
-    class in CLASS_IDS order (the first 14 entries of coef)."""
+    class in CLASS_IDS order (the first 14 entries of coef).
+
+    tol is converted once with float(); what that refuses, and a tol that is
+    not positive and finite, is a ValueError.
+    """
+    try:
+        tol = float(tol)
+    except (TypeError, ValueError, OverflowError):
+        tol = math.nan
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive")
+    params = {}
+    verdict = []  # the detected classes, in CLASS_IDS order
+    alpha = beta = size = 0.0  # the dominant class's; the first one wins a tie
     coefs = iter(coef)
-    params = dict(zip(CLASS_IDS, zip(coefs, coefs)))
-    # the size of each detected class, in CLASS_IDS order
-    size = {cid: max(abs(a), abs(b)) for cid, (a, b) in params.items()
-            if abs(a) > tol or abs(b) > tol}
-    verdict = list(size) or ["F0"]
-    # the dominant class; the first one wins a tie
-    alpha, beta = params[max(size, key=size.__getitem__)] if size else (0.0, 0.0)
+    for cid, a, b in zip(CLASS_IDS, coefs, coefs):
+        params[cid] = (a, b)
+        if abs(a) > tol or abs(b) > tol:
+            verdict.append(cid)
+            s = max(abs(a), abs(b))
+            if s > size:
+                alpha, beta, size = a, b, s
     para_sasakian = verdict == ["F4"] and (
         abs(float(lee.theta[0]) - PARA_SASAKIAN_THETA0) <= PARA_SASAKIAN_TOL)
-    return ClassReport(verdict, alpha, beta, lee, para_sasakian, params)
+    return ClassReport(verdict or ["F0"], alpha, beta, lee, para_sasakian, params)

@@ -120,3 +120,62 @@ def test_random_antisymmetric_constants_match_the_reference(monkeypatch):
         raw = rng.normal(size=(3, 3, 3)) * 10.0 ** rng.uniform(-200, 200)
         raw[rng.random((3, 3, 3)) < 0.2] = 0.0
         assert_matches_reference(raw - raw.transpose(1, 0, 2), exact=n % 4 == 0)
+
+
+# --- the straight-line map ------------------------------------------------------
+#
+# classify_manifold applies _CLASSIFY as straight-line sums on Python floats
+# (levicivita._recover), the nonzero terms of each row in the order the
+# matvec sums them, so that the values are the matvec's byte for byte
+# (tests/test_bit_identity.py).  That rests on two facts checked here: the
+# sums are _CLASSIFY's rows, and outside the subnormal range every product
+# by +-1/2, +-1 or +-2 is exact, so each row rounds only in its sums.
+
+
+def test_straight_line_map_is_the_map_on_unit_constants():
+    for n in range(9):
+        pqr = [0.0] * 9
+        pqr[n] = 1.0
+        coef, lee = levicivita._recover(pqr)
+        got = np.concatenate((coef, lee.theta, lee.theta_star, lee.omega))
+        assert got.tobytes() == _CLASSIFY[:, n].tobytes(), n
+        # the Lee forms are views of one array
+        assert lee.theta.base is lee.omega.base is not None
+
+
+HALF_TINY = Fraction(2) ** -1075  # half the spacing of the subnormals
+
+
+def rounding_bound(terms):
+    """Bound on a row's computed value against the exact sum of its terms:
+    each product by 1/2 of a subnormal rounds, by at most HALF_TINY, and the
+    n - 1 sums are off by gamma_{n-1} of the sum of absolute values."""
+    n = len(terms)
+    eta = n * HALF_TINY
+    gamma = (n - 1) * Fraction(ULP / 2) / (1 - (n - 1) * Fraction(ULP / 2))
+    return gamma * (sum(map(abs, terms)) + eta) + eta
+
+
+def test_subnormal_constants_within_the_rounding_bound(monkeypatch):
+    # Random antisymmetric C whose entries reach down into the subnormals:
+    # there 0.5 * x rounds, and BLAS (which may fuse the product into the
+    # add) and Python floats may differ in the last bit.  Both must stay
+    # within the bound; the Jacobi check is off, as above.
+    monkeypatch.setattr(levicivita, "JACOBI_TOL", math.inf)
+    rng = np.random.default_rng(14)
+    inexact = 0
+    for _ in range(500):
+        raw = rng.choice((-1.0, 1.0), (3, 3, 3)) * 10.0 ** rng.uniform(-324, -300, (3, 3, 3))
+        raw[rng.random((3, 3, 3)) < 0.2] = 0.0
+        c = raw - raw.transpose(1, 0, 2)
+        x = c.reshape(27)[_INDEP].tolist()
+        got = np.concatenate(fused(classify_manifold(c)))
+        blas = _CLASSIFY @ np.array(x) + 0.0
+        for row, value, other in zip(_CLASSIFY.tolist(), got.tolist(), blas.tolist()):
+            terms = [Fraction(k) * Fraction(v) for k, v in zip(row, x) if k and v]
+            bound = rounding_bound(terms)
+            assert abs(Fraction(value) - sum(terms)) <= bound, (row, x)
+            assert abs(Fraction(other) - sum(terms)) <= bound, (row, x)
+            inexact += Fraction(value) != sum(terms)
+    # the draws reach the products that round
+    assert inexact > 0

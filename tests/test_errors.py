@@ -1,0 +1,74 @@
+"""The API's error contract: what closed_form and classify_manifold refuse,
+they refuse with a ValueError.
+
+Coordinates and tol are converted once with float(), as ClassParams
+converts alpha and beta, so what float() accepts (a numpy scalar, an int in
+double range, a numeric string) is taken at its float value, and what it
+refuses (None, a list, an int past double range) is a ValueError, never a
+TypeError or OverflowError.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from paralie.expengine import closed_form
+from paralie.levicivita import classify_manifold
+from paralie.lie import class_algebra
+from paralie.structure import CLASS_IDS, ClassParams
+
+NOT_FLOATS = (None, [1.0], "one", 10**400, -(10**400), object())
+
+
+@pytest.mark.parametrize("cid", CLASS_IDS)
+def test_closed_form_refuses_coordinates_float_refuses(cid):
+    for bad in NOT_FLOATS:
+        for slot in range(3):
+            coords = [0.5, 1.0, -2.0]
+            coords[slot] = bad
+            with pytest.raises(ValueError, match="coordinates must be real numbers"):
+                closed_form(ClassParams(cid, 0.3, -1.7), *coords)
+
+
+def test_closed_form_refuses_non_finite_coordinates():
+    for bad in (math.nan, math.inf, -math.inf, np.float64("inf")):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            closed_form(ClassParams("F4", 1.0), 0.0, bad, 0.0)
+
+
+def test_closed_form_takes_what_float_takes_at_its_value():
+    p = ClassParams("F11", 0.3, -1.7)
+    want = closed_form(p, 0.5, 1.0, -2.0)
+    for coords in ((np.float32(0.5), np.int64(1), -2), ("0.5", "1", "-2.0"), (0.5, True, -2.0)):
+        got = closed_form(p, *coords)
+        assert got.A.tobytes() == want.A.tobytes()
+        assert got.expA.tobytes() == want.expA.tobytes()
+        assert type(got.t) is float and type(got.u) is float
+
+
+def test_closed_form_checks_the_class_before_the_coordinates():
+    with pytest.raises(ValueError, match="closed_form is defined for"):
+        closed_form(ClassParams("F0"), None, 0.0, 0.0)
+
+
+def test_classify_refuses_tol_float_refuses():
+    c = class_algebra(ClassParams("F8", 1.0))
+    for tol in NOT_FLOATS + (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            classify_manifold(c, tol=tol)
+
+
+def test_classify_takes_tol_at_its_float_value():
+    c = class_algebra(ClassParams("F4", 0.5))
+    for tol in ("1", 1, np.float32(1.0)):
+        assert classify_manifold(c, tol=tol).verdict == ["F0"]
+    assert classify_manifold(c, tol="0.25").verdict == ["F4"]
+
+
+def test_classify_checks_the_constants_before_tol():
+    # the gate's order: the constants are refused first, whatever tol is
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2] = math.nan
+    with pytest.raises(ValueError, match="structure constants must be finite"):
+        classify_manifold(c, tol=None)
