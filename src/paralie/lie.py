@@ -124,8 +124,10 @@ def jacobi_defect(c: StructureConstants) -> float:
     and 0 for a repeated index.  J runs on the constants scaled by a power of
     two to max-abs in [1/2, 1), so it cannot overflow, and is scaled back
     exactly; a defect beyond double range comes out as inf, never NaN.
+    C is read as structure_constants reads it: what is not 27 real numbers
+    is a ValueError.
     """
-    return _jacobi(*_independent(c.reshape(27).tolist()))
+    return _jacobi(*_independent(_as_floats(c).reshape(27).tolist()))
 
 
 def _independent(v: list) -> tuple[list, float]:
@@ -153,7 +155,15 @@ def _ldexp(x: float, e: int) -> float:
 
 
 def adjoint_rep(c: StructureConstants, a: float, b: float, co: float) -> Mat3:
-    """Matrix of the element with coordinates (a, b, co) on the frame."""
+    """Matrix of the element with coordinates (a, b, co) on the frame.
+
+    The coordinates are converted once with float(), as closed_form converts
+    them; what float() refuses is a ValueError.
+    """
+    try:
+        x = (-float(a), -float(b), -float(co))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"coordinates must be real numbers ({a!r}, {b!r}, {co!r})") from None
     # one (3,) @ (3, 9) product on the negated coordinates, exactly the
     # negated product; + 0.0 clears negative zeros
-    return (np.array((-a, -b, -co)) @ c.reshape(3, 9)).reshape(3, 3) + 0.0
+    return (np.array(x) @ _as_floats(c).reshape(3, 9)).reshape(3, 3) + 0.0

@@ -67,9 +67,15 @@ def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
     float64 result; good to roughly ``tol`` per entry, relative to
     max(1, max|exp(A)|), with the conditioning of exp itself on top.
 
-    Raises ValueError for a max-abs norm above ORACLE_MAX_NORM, and where
-    longdouble has no more precision than 1e-18.
+    tol is converted once with float(); what that refuses, and a tol that is
+    not positive and finite, is a ValueError.  Raises ValueError for a
+    max-abs norm above ORACLE_MAX_NORM, and where longdouble has no more
+    precision than 1e-18.
     """
+    try:
+        tol = float(tol)
+    except (TypeError, ValueError, OverflowError):
+        tol = math.nan
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive")
     if _LONGDOUBLE_EPS > 1e-18:

@@ -163,7 +163,9 @@ _NORM_SQ = np.maximum(np.sum(_BASIS**2, axis=1), 1.0)
 class ClassReport:
     """Verdict of classify_manifold: the classes whose recovered parameter
     is significant, or ["F0"] when none is; alpha/beta, the parameters of
-    the dominant class; params, the per-class recoveries."""
+    the dominant class; params, the per-class recoveries.  A class recovered
+    as exactly (0.0, 0.0), which no tol detects, holds the one (0.0, 0.0)
+    tuple that every report shares."""
 
     verdict: list[str]
     alpha: float
@@ -171,6 +173,12 @@ class ClassReport:
     lee: LeeForms
     para_sasakian: bool
     params: dict[str, tuple[float, float]] = field(default_factory=dict)
+
+
+# The pair of every class recovered as exactly zero.  _recover's + 0.0 makes
+# each zero positive, so sharing one immutable tuple keeps the bits and
+# leaves a report fewer objects for the cyclic garbage collector to track.
+_ZERO_PAIR = (0.0, 0.0)
 
 
 def _report(coef: list, lee: LeeForms, tol: float) -> ClassReport:
@@ -191,6 +199,9 @@ def _report(coef: list, lee: LeeForms, tol: float) -> ClassReport:
     alpha = beta = size = 0.0  # the dominant class's; the first one wins a tie
     coefs = iter(coef)
     for cid, a, b in zip(CLASS_IDS, coefs, coefs):
+        if a == 0.0 and b == 0.0:  # below every positive tol
+            params[cid] = _ZERO_PAIR
+            continue
         params[cid] = (a, b)
         if abs(a) > tol or abs(b) > tol:
             verdict.append(cid)

@@ -1,5 +1,6 @@
-"""The API's error contract: what closed_form and classify_manifold refuse,
-they refuse with a ValueError.
+"""The API's error contract: what closed_form, classify_manifold,
+expm_oracle, adjoint_rep and jacobi_defect refuse, they refuse with a
+ValueError.
 
 Coordinates and tol are converted once with float(), as ClassParams
 converts alpha and beta, so what float() accepts (a numpy scalar, an int in
@@ -15,7 +16,8 @@ import pytest
 
 from paralie.expengine import closed_form
 from paralie.levicivita import classify_manifold
-from paralie.lie import class_algebra
+from paralie.lie import adjoint_rep, class_algebra, jacobi_defect
+from paralie.mat3 import expm_oracle
 from paralie.structure import CLASS_IDS, ClassParams
 
 NOT_FLOATS = (None, [1.0], "one", 10**400, -(10**400), object())
@@ -72,3 +74,41 @@ def test_classify_checks_the_constants_before_tol():
     c[0, 1, 2] = math.nan
     with pytest.raises(ValueError, match="structure constants must be finite"):
         classify_manifold(c, tol=None)
+
+
+def test_expm_oracle_refuses_tol_float_refuses():
+    for tol in NOT_FLOATS + (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            expm_oracle(np.eye(3), tol=tol)
+
+
+def test_expm_oracle_takes_tol_at_its_float_value():
+    want = expm_oracle(np.eye(3), 1e-15)
+    for tol in ("1e-15", np.float32(1e-15)):
+        assert expm_oracle(np.eye(3), tol).tobytes() == want.tobytes()
+
+
+def test_adjoint_rep_refuses_coordinates_float_refuses():
+    c = class_algebra(ClassParams("F4", 1.0))
+    for bad in NOT_FLOATS:
+        for slot in range(3):
+            coords = [0.5, 1.0, -2.0]
+            coords[slot] = bad
+            with pytest.raises(ValueError, match="coordinates must be real numbers"):
+                adjoint_rep(c, *coords)
+
+
+def test_adjoint_rep_takes_what_float_takes_at_its_value():
+    c = class_algebra(ClassParams("F11", 0.3, -1.7))
+    want = adjoint_rep(c, 0.5, 1.0, -2.0)
+    for coords in ((np.float32(0.5), np.int64(1), -2), ("0.5", "1", "-2.0")):
+        assert adjoint_rep(c, *coords).tobytes() == want.tobytes()
+    assert adjoint_rep(c.tolist(), 0.5, 1.0, -2.0).tobytes() == want.tobytes()
+
+
+def test_jacobi_defect_reads_what_structure_constants_reads():
+    c = class_algebra(ClassParams("F8", 1.5))
+    assert jacobi_defect(c.tolist()) == jacobi_defect(c) == 0.0
+    for bad in (None, [[0, 0, 0]] * 3, "one", [[[object()] * 3] * 3] * 3):
+        with pytest.raises(ValueError):
+            jacobi_defect(bad)

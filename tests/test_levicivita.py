@@ -312,6 +312,29 @@ def test_classify_propagates_jacobi_failure():
         classify_manifold(c)
 
 
+def distinct_pairs(reports):
+    # the reports are kept alive, so no two live tuples share an id
+    return len({id(pair) for r in reports for pair in r.params.values()})
+
+
+def test_undetected_classes_share_one_zero_pair():
+    f8 = [classify_manifold(class_algebra(ClassParams("F8", 0.3))) for _ in range(100)]
+    assert distinct_pairs(f8) <= 101  # F8's own pair per report, one shared zero pair
+    f0 = [classify_manifold(np.zeros((3, 3, 3))) for _ in range(100)]
+    assert distinct_pairs(f0) == 1
+
+
+@pytest.mark.parametrize("cid", CLASS_IDS)
+def test_undetected_classes_read_positive_zeros(cid):
+    for alpha in PARAM_GRID:
+        beta = -alpha if cid in TWO_PARAMETER_CLASSES else 0.0
+        report = classify_manifold(class_algebra(ClassParams(cid, alpha, beta)))
+        assert report.verdict == [cid]
+        for other, pair in report.params.items():
+            if other not in report.verdict:
+                assert [math.copysign(1.0, x) for x in pair] == [1.0, 1.0] and pair == (0.0, 0.0)
+
+
 # --- para-Sasakian predicate ---------------------------------------------------
 
 
