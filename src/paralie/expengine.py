@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import _ENTRIES, _values
+from .lie import _ENTRIES, _coordinates, _values
 from .mat3 import Mat3, _trace_sq
 from .structure import CLASS_IDS, ClassParams
 
@@ -103,16 +103,10 @@ def _adjoint_entries(p: ClassParams, a: float, b: float, c: float) -> list:
     """adjoint_rep(class_algebra(p), a, b, c) as its nine entries in row
     order, Python floats formed straight from the bracket table.
 
-    The coordinates are converted once with float(), so no numpy scalar
-    reaches the floats; what float() refuses, and a non-finite coordinate,
-    is a ValueError.
+    The coordinates are read by lie._coordinates, as adjoint_rep reads them,
+    so no numpy scalar reaches the floats.
     """
-    try:
-        x = x0, x1, x2 = float(a), float(b), float(c)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"coordinates must be real numbers ({a!r}, {b!r}, {c!r})") from None
-    if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2)):
-        raise ValueError("coordinates must be finite")
+    x = _coordinates(a, b, c)
     w = _values(p)
     v = [0.0] * 9
     for i, n, m in _TERMS[p.class_id]:

@@ -154,16 +154,29 @@ def _ldexp(x: float, e: int) -> float:
         return math.inf
 
 
+def _coordinates(a, b, c) -> tuple[float, float, float]:
+    """The frame coordinates (a, b, c) as Python floats.
+
+    Each is converted once with float(); what float() refuses, and a
+    coordinate that is not finite, is a ValueError.
+    """
+    try:
+        x = x0, x1, x2 = float(a), float(b), float(c)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"coordinates must be real numbers ({a!r}, {b!r}, {c!r})") from None
+    if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError("coordinates must be finite")
+    return x
+
+
 def adjoint_rep(c: StructureConstants, a: float, b: float, co: float) -> Mat3:
     """Matrix of the element with coordinates (a, b, co) on the frame.
 
-    The coordinates are converted once with float(), as closed_form converts
-    them; what float() refuses is a ValueError.
+    The coordinates are read by _coordinates(), as closed_form reads them:
+    what float() refuses, and a coordinate that is not finite, is a
+    ValueError.
     """
-    try:
-        x = (-float(a), -float(b), -float(co))
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"coordinates must be real numbers ({a!r}, {b!r}, {co!r})") from None
+    x0, x1, x2 = _coordinates(a, b, co)
     # one (3,) @ (3, 9) product on the negated coordinates, exactly the
     # negated product; + 0.0 clears negative zeros
-    return (np.array(x) @ _as_floats(c).reshape(3, 9)).reshape(3, 3) + 0.0
+    return (np.array((-x0, -x1, -x2)) @ _as_floats(c).reshape(3, 9)).reshape(3, 3) + 0.0

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from paralie.cli import main, run_exp_grid, run_roundtrip_grid, table_rows
+from paralie import cli
+from paralie.cli import GRIDS, main, run_exp_grid, run_roundtrip_grid, table_rows
 from paralie.expengine import closed_form
 from paralie.levicivita import classify_manifold
 from paralie.lie import class_algebra, jacobi_defect, structure_constants
@@ -299,6 +300,55 @@ def test_classify_rejects_nan_tol(tmp_path, capsys):
 def test_tol_only_on_classify_and_verify(capsys, argv):
     code, _, _ = run_cli(capsys, *argv, "--tol", "1e-3")
     assert code == 2
+
+
+def test_verify_counts_each_instance_once(capsys, monkeypatch):
+    # the printed count is the number of closed forms verify evaluates:
+    # beta sweeps the grid only for F1 and F11
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return closed_form(*args)
+
+    monkeypatch.setattr(cli, "closed_form", counted)
+    code, out, _ = run_cli(capsys, "verify", "--grid", "small")
+    assert code == 0
+    assert "(486 exponential instances" in out
+    assert len(calls) == len(set(calls)) == 486
+
+
+def test_verify_full_grid_count(capsys, monkeypatch):
+    zeros = dict.fromkeys(CLASS_IDS, 0.0)
+    monkeypatch.setattr(cli, "run_exp_grid", lambda *grids: zeros)
+    monkeypatch.setattr(cli, "run_roundtrip_grid", lambda grid: zeros)
+    _, out, _ = run_cli(capsys, "verify", "--grid", "full")
+    assert "(9375 exponential instances" in out
+
+
+def exp_grid_every_beta(param_grid, coord_grid):
+    """run_exp_grid with beta swept for every class, one-parameter ones too."""
+    worst = {}
+    for cid in CLASS_IDS:
+        m = 0.0
+        for alpha in param_grid:
+            for beta in param_grid:
+                p = ClassParams(cid, alpha, beta)
+                for a in coord_grid:
+                    for b in coord_grid:
+                        for co in coord_grid:
+                            res = closed_form(p, a, b, co)
+                            m = max(m, max_abs(res.expA - expm_oracle(res.A, 1e-15)))
+        worst[cid] = m
+    return worst
+
+
+@pytest.mark.parametrize("grids", [GRIDS["small"][:2], ((-2.0, 0.5, 1.0), (-1.0, 0.0, 1.0))])
+def test_exp_grid_matches_the_sweep_over_every_beta(grids):
+    got = run_exp_grid(*grids)
+    want = exp_grid_every_beta(*grids)
+    assert got.keys() == want.keys()
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
 
 def test_grid_helpers_directly():

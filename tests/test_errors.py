@@ -10,6 +10,7 @@ TypeError or OverflowError.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ def test_adjoint_rep_refuses_coordinates_float_refuses():
             coords[slot] = bad
             with pytest.raises(ValueError, match="coordinates must be real numbers"):
                 adjoint_rep(c, *coords)
+
+
+def test_adjoint_rep_refuses_non_finite_coordinates():
+    # as closed_form does: a ValueError, with no numpy warning on the way
+    c = class_algebra(ClassParams("F4", 1.0))
+    for bad in (math.nan, math.inf, -math.inf, np.float64("inf")):
+        for slot in range(3):
+            coords = [0.5, 1.0, -2.0]
+            coords[slot] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="coordinates must be finite"):
+                    adjoint_rep(c, *coords)
 
 
 def test_adjoint_rep_takes_what_float_takes_at_its_value():
