@@ -13,8 +13,17 @@ at every input.  With r = sqrt(|z|), h = r/2 and f = sinh for z > 0, sin for
 z < 0 (the trigonometric regime of F8 and F10), t = f(r)/r and
 u = (f(h)/h)^2 / 2, the half-angle form of (cosh r - 1)/z that does not
 cancel.  The one special case is the removable singularity at an exact zero:
-t = 1 at k = 0, and (t, u) = (1, 1/2) at z = 0.  The quadratic classes never
-form A^2, so for them only tr A and exp(A) = E + t*A itself can overflow.
+t = 1 at k = 0, and (t, u) = (1, 1/2) at z = 0.
+
+Past double range the call raises ValueError, with no numpy warning and no
+chained exception.  The quadratic classes never form A^2, so for them only
+tr A and exp(A) = E + t*A itself can overflow.  The cubic classes form A^2
+only once tr A^2 has come out finite.  In F8 that bounds it: tr A^2 =
+2(A01*A10 + A02*A20 + A12*A21), three products of one sign, so a finite
+tr A^2 means a finite A and no entry of A^2 above |tr A^2|.  numpy's one
+product therefore sets no overflow or invalid flag and runs with numpy's
+error handling as the caller set it.  F4, F9 and F10 square A on Python
+floats, which never warn.
 
 Each call is nine numbers, so the scalar work runs on Python floats.  A's
 nine entries come straight from the coordinates and the class's bracket
@@ -26,8 +35,10 @@ order the numpy expressions used, and one np.array each makes A and exp(A).
 A^2 runs on those floats too where each of its entries is one product,
 A[l] * A[r], as it is in F4, F9 and F10 (_SQUARE, derived from the same
 terms): a single product rounds the same whether or not BLAS fuses it with
-an add of zero.  numpy keeps only F8's A @ A, whose diagonal sums two
-products, and BLAS may fuse that sum in a way Python floats cannot repeat.
+an add of zero.  numpy keeps only F8's A^2, whose diagonal sums two
+products, and BLAS may fuse that sum in a way Python floats cannot repeat;
+it is np.dot(A, A), the dgemm that A @ A runs, without the matmul ufunc's
+overhead.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ def _square_terms(terms: list) -> list | None:
     return products if len(set(entries)) == len(entries) else None
 
 
-# Per cubic class, its A^2 as single products, or None (F8) for A @ A
+# Per cubic class, its A^2 as single products, or None (F8) for np.dot(A, A)
 _SQUARE = {cid: _square_terms(_TERMS[cid]) for cid in CLASS_IDS if cid not in _TRACE_FACTOR}
 
 
@@ -126,51 +137,43 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
     if cid not in CLASS_IDS:
         raise ValueError(f"closed_form is defined for {CLASS_IDS}, not {cid!r}")
 
-    quadratic = cid in _TRACE_FACTOR
-    # Overflow anywhere below, in numpy or in the float arithmetic, ends in
-    # the one raise at the end: exp(A) turns non-finite, with no warning.
-    # Python floats never warn (0 * inf is NaN, as in numpy), and numpy's
-    # one product, F8's A @ A, is told not to.
+    # Overflow anywhere below ends in the one raise after the try, not in
+    # the except, so the ValueError carries no OverflowError as context.
+    # Python floats never warn (0 * inf is NaN, as in numpy), and F8's
+    # np.dot waits for a finite tr A^2, which bounds A^2 (module docstring).
     v = _adjoint_entries(p, a, b, c)
     A = np.array(v)
     A.shape = (3, 3)
-    if quadratic:
-        sq = ()
-    elif _SQUARE[cid] is None:  # F8
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq = (A @ A).reshape(9).tolist()
-    else:
-        sq = [0.0] * 9
-        for n, l, r in _SQUARE[cid]:
-            sq[n] = v[l] * v[r]
     try:
-        if quadratic:
+        if cid in _TRACE_FACTOR:
             k = _TRACE_FACTOR[cid] * _finite(v[0] + v[4] + v[8])  # tr A
             t = math.expm1(k) / k if k else 1.0
             u = 0.0
             branch = "generic" if k else "trace_zero"
+            # u = 0 needs no A^2, which overflows long before E + t*A does
+            e = [d + t * x for d, x in zip(_E, v)]
         else:
             z = 0.5 * _finite(_trace_sq(v))
-            t, u = _cubic(z)
             # z underflows before A does, so an exact zero is read on A: all
             # of it for F8, otherwise the a*E0 block (rows and columns 1, 2)
             # that carries tr A^2
             if cid == "F8":
+                sq = np.dot(A, A).reshape(9).tolist()
                 branch = "generic" if z or any(v) else "zero_matrix"
             else:
+                sq = [0.0] * 9
+                for n, l, r in _SQUARE[cid]:
+                    sq[n] = v[l] * v[r]
                 branch = "generic" if z or v[4] or v[5] or v[7] or v[8] else "trA2_zero"
+            t, u = _cubic(z)
+            e = [d + t * x + u * y for d, x, y in zip(_E, v, sq)]
     except OverflowError:  # math.expm1/sinh, or a trace, past double range
-        t = u = math.inf
-    # u = 0 needs no A^2, which overflows long before E + t*A does
-    if quadratic:
-        e = [d + t * x for d, x in zip(_E, v)]
-    else:
-        e = [d + t * x + u * y for d, x, y in zip(_E, v, sq)]
+        e = [math.inf]
     if not all(map(math.isfinite, e)):
         raise ValueError("exponential overflows double precision at these parameters")
     expA = np.array(e)  # owns its data, unlike a reshaped view
     expA.shape = (3, 3)
-    return ExpResult(A=A, t=t, u=u, branch=branch, expA=expA)
+    return ExpResult(A, t, u, branch, expA)
 
 
 def para_sasakian_group(a: float, b: float, c: float) -> ExpResult:

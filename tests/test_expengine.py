@@ -8,7 +8,8 @@ import pytest
 
 from paralie.cli import main
 from paralie.expengine import closed_form, para_sasakian_group
-from paralie.mat3 import expm_oracle, max_abs, trace
+from paralie.lie import adjoint_rep, class_algebra
+from paralie.mat3 import expm_oracle, max_abs, trace, trace_sq
 from paralie.structure import CLASS_IDS, ClassParams
 from reference import annihilator
 
@@ -154,8 +155,10 @@ def test_overflow_raises_without_warning(cid):
     for alpha, coords in GROWING_QUADRATIC.get(cid, GROWING):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="overflows double precision"):
+            with pytest.raises(ValueError, match="overflows double precision") as info:
                 closed_form(ClassParams(cid, alpha, alpha), *coords)
+            # raised after the except, so no OverflowError and its frames ride along
+            assert info.value.__context__ is None and info.value.__cause__ is None
 
 
 @pytest.mark.parametrize(
@@ -182,6 +185,65 @@ def test_quadratic_classes_return_finite_exponentials_past_a_squared(p, coords, 
         res = closed_form(p, *coords)
     assert max_abs(res.A) >= 1e160 and res.u == 0.0
     assert np.array_equal(res.expA, np.array(expected, dtype=float))
+
+
+def f8_with_guarded_square(alpha, coords):
+    """F8's (A, t, u, expA) with A @ A formed up front under np.errstate, as
+    closed_form formed it before it waited for a finite tr A^2; None where
+    that overflows.  F8's z = tr(A^2)/2 is never positive, so f = sin."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = adjoint_rep(class_algebra(ClassParams("F8", alpha)), *coords)
+        sq = A @ A
+        z = 0.5 * trace_sq(A)
+        if not math.isfinite(z):
+            return None
+        if z == 0.0:
+            t, u = 1.0, 0.5
+        else:
+            r = math.sqrt(-z)
+            fh = math.sin(0.5 * r) / (0.5 * r)
+            t, u = math.sin(r) / r, 0.5 * fh * fh
+        expA = np.eye(3) + t * A + u * sq
+    return (A, t, u, expA) if np.isfinite(expA).all() else None
+
+
+# At alpha = 1, F8's exponential is finite at the first two and past double
+# range at the third
+F8_NAMED = [(1.0, (1e153, 0.0, 0.0)), (1.0, (3e153, 1e153, -2e153)), (1.0, (1e155, 0.0, 0.0))]
+# F8 where tr A^2 crosses double range: max|A| from 2**500 to 2**530 along
+# each direction and for |alpha| from 2**-40 to 2**40, then alpha * x or
+# 2 * alpha past double range, where A holds inf (and NaN where x = 0)
+F8_DIRECTIONS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0), (3.0, 1.0, -2.0), (-1.0, 1.0, 1.0))
+F8_EDGE = F8_NAMED + [
+    (alpha, tuple(2.0**n / abs(alpha) * x for x in d))
+    for alpha in (1.0, -1.0, 2.0**-40, -(2.0**40))
+    for n in range(500, 531)
+    for d in F8_DIRECTIONS
+] + [
+    (alpha, tuple(scale * x for x in d))
+    for alpha, scale in ((1e300, 1e10), (-1e300, 1e10), (1.5e308, 1.0), (-1.5e308, 0.5))
+    for d in F8_DIRECTIONS
+]
+
+
+def test_f8_square_formed_only_on_finite_trace_sq():
+    # every result, or the ValueError, is the guarded formula's byte for
+    # byte, with no floating-point flag raised and no warning on the way
+    returned = []
+    for alpha, coords in F8_EDGE:
+        expected = f8_with_guarded_square(alpha, coords)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            if expected is None:
+                with pytest.raises(ValueError, match="overflows double precision"):
+                    closed_form(ClassParams("F8", alpha), *coords)
+                continue
+            res = closed_form(ClassParams("F8", alpha), *coords)
+        A, t, u, expA = expected
+        assert res.A.tobytes() == A.tobytes() and (res.t, res.u) == (t, u)
+        assert res.expA.tobytes() == expA.tobytes()
+        returned.append((alpha, coords))
+    assert [case in returned for case in F8_NAMED] == [True, True, False]
 
 
 # --- oracle agreement ------------------------------------------------------------
