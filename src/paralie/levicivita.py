@@ -4,36 +4,36 @@ For left-invariant fields and a constant metric the Koszul formula collapses
 to 2 g(nabla_X Y, Z) = g([X,Y],Z) - g([X,Z],Y) - g([Y,Z],X), so the
 connection coefficients are linear in the structure constants:
 
-    Gamma[i][j][k] = (C[i][j][k] - C[i][k][j] - C[j][k][i]) / 2.
+    Gamma[i][j][k] = C[i][j][k]/2 - C[i][k][j]/2 - C[j][k][i]/2,
 
-From there the covariant derivative of phi gives the frame components of the
-classifying tensor, closing the loop: algebra -> connection -> tensor ->
-class and parameters.  Every step is linear, so classification applies the
-composite once: a fixed (23, 9) matrix on the nine independent constants,
-which the validation gate already holds as Python floats, evaluated as 23
-straight-line sums on those floats.
+and nabla phi, for the phi of the standard structure, is one commutator per
+frame vector, F[i] = phi Gamma[i] - Gamma[i] phi: algebra -> connection ->
+tensor -> class and parameters.  Every step is linear, so classification
+applies the composite once: a fixed (23, 9) matrix on the nine independent
+constants, which the validation gate already holds as Python floats,
+evaluated as 23 straight-line sums on those floats.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lie import _I, _IKJ, _J, _JIK, _JKI, _K, StructureConstants, _flat
-from .lie import _as_floats, _jacobi, _validated
+from .lie import StructureConstants, _as_floats, _flat, _jacobi, _validated
 from .structure import _BASIS, _LEE, _NORM_SQ, ClassReport, FTensor, LeeForms, _report
+from .structure import standard_structure
 
 JACOBI_TOL = 1e-12
 
 ConnectionCoeffs = np.ndarray  # shape (3, 3, 3), Gamma[i][j][k]
 
-# Both linear steps are fixed index maps on the flat components, built once:
-#   Gamma = (C - C[_IKJ] - C[_JKI]) / 2      (Koszul)
-#   F     = G[_PHI_J] - G[_PHI_K]            (nabla phi)
-# where G is Gamma with one zero appended.  phi of the standard structure
-# swaps e1 and e2 (j -> 3 - j) and kills e0, whose components all read that
-# zero.  Gathers keep the rounding of the contractions they replace.
-_PHI_J = np.where(_J == 0, 27, _flat(_I, 3 - _J, _K))
-_PHI_K = np.where(_K == 0, 27, _flat(_I, _J, 3 - _K))
+# Koszul's two gathers on the flat components: C[_IKJ] is C[i][k][j] and
+# C[_JKI] is C[j][k][i].
+_I, _J, _K = np.indices((3, 3, 3)).reshape(3, 27)
+_IKJ = _flat(_I, _K, _J)
+_JKI = _flat(_J, _K, _I)
+
+# phi of the standard structure, the one matrix nabla phi reads
+_PHI = standard_structure().phi
 
 
 class NotALieAlgebraError(ValueError):
@@ -77,23 +77,26 @@ def connection_coeffs(c: StructureConstants) -> ConnectionCoeffs:
 
 
 def _koszul(c: np.ndarray) -> np.ndarray:
-    """Gamma from C, both as flat components along the first axis."""
-    return 0.5 * (c - c[_IKJ] - c[_JKI])
+    """Gamma from C, both as flat components along the first axis.  Halved
+    first, each term is below 2**1022 where max|C| < 2**1023: Gamma is finite."""
+    h = 0.5 * c
+    return h - h[_IKJ] - h[_JKI]
 
 
 def _nabla_phi(gamma: np.ndarray) -> np.ndarray:
-    """F from Gamma, both as flat components along the first axis."""
-    g = np.concatenate((gamma, np.zeros((1,) + gamma.shape[1:])))
-    return g[_PHI_J] - g[_PHI_K]
+    """F[i] = phi Gamma[i] - Gamma[i] phi, on (..., 3, 3, 3) arrays."""
+    return _PHI @ gamma - gamma @ _PHI
 
 
 def f_tensor(c: StructureConstants) -> FTensor:
     """Frame components F[i][j][k] = g((nabla_{e_i} phi) e_j, e_k).
 
     phi is that of the standard structure on the orthonormal frame.  C is
-    checked as in connection_coeffs.
+    checked as in connection_coeffs.  |F| is at most 3 max|C|, so for
+    max|C| > 2**1024 / 3 a component can overflow to inf, with a numpy
+    overflow warning.
     """
-    return _nabla_phi(_koszul(_lie_algebra(c)[0])).reshape(3, 3, 3)
+    return _nabla_phi(connection_coeffs(c))
 
 
 # Classification is linear in the nine independent constants C[i][j][k],
@@ -110,10 +113,11 @@ _INDEP = np.flatnonzero(_I < _J)
 
 
 def _fused_map() -> np.ndarray:
-    units = np.zeros((27, 9))  # column n: C[i][j][k] = 1 = -C[j][i][k]
-    units[_INDEP, np.arange(9)] = 1.0
-    units[_JIK[_INDEP], np.arange(9)] = -1.0
-    f = _nabla_phi(_koszul(units))
+    u = np.zeros((27, 9))  # column n: C[i][j][k] = 1 = -C[j][i][k]
+    u[_INDEP, np.arange(9)] = 1.0
+    u = u.reshape(3, 3, 3, 9)
+    gamma = _koszul((u - u.transpose(1, 0, 2, 3)).reshape(27, 9))
+    f = _nabla_phi(gamma.reshape(3, 3, 3, 9).transpose(3, 0, 1, 2)).reshape(9, 27).T
     return np.vstack((_BASIS @ f / _NORM_SQ[:, None], _LEE @ f))
 
 

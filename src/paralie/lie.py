@@ -31,14 +31,6 @@ def _flat(i, j, k):
     return 9 * i + 3 * j + k
 
 
-# Index maps on flat components, built once and shared with levicivita:
-# C[_JIK] is C[j][i][k], C[_IKJ] is C[i][k][j], and so on.
-_I, _J, _K = np.indices((3, 3, 3)).reshape(3, 27)
-_JIK = _flat(_J, _I, _K)
-_IKJ = _flat(_I, _K, _J)
-_JKI = _flat(_J, _K, _I)
-
-
 def structure_constants(components) -> StructureConstants:
     """Validate a 3x3x3 array of bracket coefficients (antisymmetry included)."""
     c = _as_floats(components).reshape(3, 3, 3)

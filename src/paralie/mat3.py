@@ -42,6 +42,18 @@ def _trace_sq(v: list) -> float:
             + ((a11 * a11 + a12 * a21) + (a20 * a02 + a21 * a12))) + a22 * a22
 
 
+def _positive_tol(tol) -> float:
+    """tol converted once with float(); what that refuses, and a tol that is
+    not positive and finite, is a ValueError."""
+    try:
+        tol = float(tol)
+    except (TypeError, ValueError, OverflowError):
+        tol = math.nan
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive")
+    return tol
+
+
 def max_abs(a) -> float:
     """Max-abs entry, the norm used for every tolerance in this package."""
     return float(np.abs(a).max())
@@ -67,17 +79,11 @@ def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
     float64 result; good to roughly ``tol`` per entry, relative to
     max(1, max|exp(A)|), with the conditioning of exp itself on top.
 
-    tol is converted once with float(); what that refuses, and a tol that is
-    not positive and finite, is a ValueError.  Raises ValueError for a
-    max-abs norm above ORACLE_MAX_NORM, and where longdouble has no more
-    precision than 1e-18.
+    tol is read by _positive_tol.  Raises ValueError for a max-abs norm
+    above ORACLE_MAX_NORM, and where longdouble has no more precision than
+    1e-18.
     """
-    try:
-        tol = float(tol)
-    except (TypeError, ValueError, OverflowError):
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive")
+    tol = _positive_tol(tol)
     if _LONGDOUBLE_EPS > 1e-18:
         raise ValueError(
             f"expm_oracle needs an extended-precision longdouble (eps {_LONGDOUBLE_EPS:.3g} here)")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mat3 import Mat3, Vec3, max_abs, trace
+from .mat3 import Mat3, Vec3, _positive_tol, max_abs, trace
 
 CLASS_IDS = ("F1", "F4", "F5", "F8", "F9", "F10", "F11")
 TWO_PARAMETER_CLASSES = ("F1", "F11")
@@ -183,17 +183,10 @@ _ZERO_PAIR = (0.0, 0.0)
 
 def _report(coef: list, lee: LeeForms, tol: float) -> ClassReport:
     """The verdict on the 14 recovered parameters, alpha then beta of each
-    class in CLASS_IDS order (the first 14 entries of coef).
-
-    tol is converted once with float(); what that refuses, and a tol that is
-    not positive and finite, is a ValueError.
+    class in CLASS_IDS order (the first 14 entries of coef), once
+    mat3._positive_tol has read tol.
     """
-    try:
-        tol = float(tol)
-    except (TypeError, ValueError, OverflowError):
-        tol = math.nan
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive")
+    tol = _positive_tol(tol)
     params = {}
     verdict = []  # the detected classes, in CLASS_IDS order
     alpha = beta = size = 0.0  # the dominant class's; the first one wins a tie

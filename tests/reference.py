@@ -7,7 +7,9 @@ form of the Lie bracket.  ``class_pattern`` and ``lee_forms`` build a class
 pattern from two rows of the library's basis and contract the Lee forms
 out of a tensor, the ground truth for F and for the Lee forms.
 ``classify_by_projection`` is the classification path that one fused
-linear map replaced, step by step, and
+linear map replaced, step by step, on ``replaced_koszul`` and
+``replaced_nabla_phi``: the Koszul sums before C was halved first, and
+nabla phi as two gathers from Gamma, phi hard-coded as an index map.
 ``jacobi_defect_matmul`` the 81-entry Jacobi defect that the three-component
 identity replaced.  ``replaced_structure_constants``,
 ``replaced_jacobi_defect`` and ``replaced_lie_algebra`` are the validation
@@ -24,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from paralie import levicivita
-from paralie.levicivita import NotALieAlgebraError, _koszul, _nabla_phi
-from paralie.lie import _I, _J, _JIK, _JKI, _K, _flat, _ldexp
+from paralie.levicivita import NotALieAlgebraError
+from paralie.lie import _flat, _ldexp
 from paralie.mat3 import max_abs, trace, trace_sq
 from paralie.structure import _BASIS, _LEE, _NORM_SQ, CLASS_IDS, ClassParams, LeeForms
 
@@ -81,6 +83,30 @@ def bracket(c, x, y):
     return np.einsum("i,j,ijk->k", x, y, c)
 
 
+# Index maps on the flat components: C[_JIK] is C[j][i][k], C[_IKJ] is
+# C[i][k][j], and so on.
+_I, _J, _K = np.indices((3, 3, 3)).reshape(3, 27)
+_JIK = _flat(_J, _I, _K)
+_IKJ = _flat(_I, _K, _J)
+_JKI = _flat(_J, _K, _I)
+
+# phi of the standard structure swaps e1 and e2 (j -> 3 - j) and kills e0,
+# whose components all read a zero appended to Gamma.
+_PHI_J = np.where(_J == 0, 27, _flat(_I, 3 - _J, _K))
+_PHI_K = np.where(_K == 0, 27, _flat(_I, _J, 3 - _K))
+
+
+def replaced_koszul(c):
+    """Gamma from C, both flat along the first axis, summed before halving."""
+    return 0.5 * (c - c[_IKJ] - c[_JKI])
+
+
+def replaced_nabla_phi(gamma):
+    """F from Gamma, both flat along the first axis, as two gathers."""
+    g = np.concatenate((gamma, np.zeros((1,) + gamma.shape[1:])))
+    return g[_PHI_J] - g[_PHI_K]
+
+
 # T[_JKIM] and T[_KIJM] shift T[i][j][k][m] cyclically in (i, j, k), flat.
 _JKIM = (3 * _JKI[:, None] + np.arange(3)).reshape(81)
 _KIJM = (3 * _flat(_K, _I, _J)[:, None] + np.arange(3)).reshape(81)
@@ -131,11 +157,11 @@ class Projection:
 
 
 def classify_by_projection(c, tol: float = 1e-12) -> Projection:
-    """Gamma from C and F = nabla phi from Gamma (the maps of f_tensor), each
+    """Gamma from C and F = nabla phi from Gamma (the replaced maps), each
     parameter the projection of F onto its basis pattern, the residual the
     max-abs of what the patterns leave over, and the Lee forms contracted
     from F.  C is taken as given: no check of any kind, Jacobi included."""
-    f = _nabla_phi(_koszul(np.asarray(c, dtype=float).reshape(27)))
+    f = replaced_nabla_phi(replaced_koszul(np.asarray(c, dtype=float).reshape(27)))
     coef = _BASIS @ f / _NORM_SQ
     residual = max_abs(f - coef @ _BASIS)
     lee = lee_forms(f)

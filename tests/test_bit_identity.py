@@ -22,6 +22,13 @@ it replaced (``reference.replaced_lie_algebra``), or raise the same
 exception type with the same message, on seeded antisymmetric constants
 over 300 decades either way, on NaN, infinite and non-antisymmetric
 corruptions of them, and at and just below max|C| = 2**1023.
+
+connection_coeffs now halves C before the Koszul sums, and f_tensor reads
+phi from the structure as F[i] = phi Gamma[i] - Gamma[i] phi.  On every
+input above that the gate accepts, both must give the bytes of the sums and
+gathers they replaced (``reference.replaced_koszul`` and
+``reference.replaced_nabla_phi``), signed zeros included; where C holds
+zeros of both signs, F is those bytes with negative zeros made positive.
 """
 
 import math
@@ -46,7 +53,9 @@ from paralie.mat3 import trace
 from paralie.structure import CLASS_IDS, ClassParams, LeeForms, _report
 from reference import (
     replaced_jacobi_defect,
+    replaced_koszul,
     replaced_lie_algebra,
+    replaced_nabla_phi,
     replaced_structure_constants,
 )
 
@@ -240,7 +249,7 @@ GATED = (
     (structure_constants, replaced_structure_constants),
     (jacobi_defect, replaced_jacobi_defect),
     (connection_coeffs, lambda c: _koszul(replaced_lie_algebra(c)).reshape(3, 3, 3)),
-    (f_tensor, lambda c: _nabla_phi(_koszul(replaced_lie_algebra(c))).reshape(3, 3, 3)),
+    (f_tensor, lambda c: _nabla_phi(_koszul(replaced_lie_algebra(c)).reshape(3, 3, 3))),
     (classify_manifold, replaced_classify),
 )
 
@@ -358,3 +367,44 @@ def test_gate_bit_identical_to_the_replaced_gate(monkeypatch, jacobi_tol):
             "structure constants must be antisymmetric in (i, j)",
             "structure constants overflow double precision (max |C| >= 2**1023)"} <= messages
     assert {name for name, kind, _ in seen if kind == "ok"} == {fn.__name__ for fn, _ in GATED}
+
+
+# --- nabla phi read from the structure ------------------------------------------
+
+
+def replaced_connection(c):
+    return replaced_koszul(replaced_lie_algebra(c)).reshape(3, 3, 3)
+
+
+def replaced_f_tensor(c):
+    return replaced_nabla_phi(replaced_koszul(replaced_lie_algebra(c))).reshape(3, 3, 3)
+
+
+def test_connection_and_f_tensor_bit_identical_to_the_replaced_path():
+    accepted = 0
+    for c in gate_inputs():
+        for new, old in ((connection_coeffs, replaced_connection), (f_tensor, replaced_f_tensor)):
+            got = outcome(new, c)
+            assert got == outcome(old, c), (new.__name__, c.tolist())
+            accepted += got[0] == "ok"
+    assert accepted > 1000
+
+
+def test_f_tensor_clears_the_negative_zeros_the_gathers_copied():
+    # the commutator's sums start from +0.0, so where a gather copied a
+    # negative zero of Gamma, F holds +0.0; Gamma and every other bit of F
+    # are the replaced path's
+    rng = np.random.default_rng(79)
+    cases = [class_algebra(ClassParams(cid, a, -a)) for cid in CLASS_IDS for a in (0.0, -0.0)]
+    for c in class_constants(rng, 500):
+        c[(c == 0.0) & (rng.random((3, 3, 3)) < 0.5)] = -0.0
+        cases.append(c)
+    cleared = 0
+    for c in cases:
+        if outcome(connection_coeffs, c)[0] == "raised":
+            continue
+        assert connection_coeffs(c).tobytes() == replaced_connection(c).tobytes(), c.tolist()
+        want = replaced_f_tensor(c)
+        assert f_tensor(c).tobytes() == (want + 0.0).tobytes(), c.tolist()
+        cleared += want.tobytes() != (want + 0.0).tobytes()
+    assert cleared > 0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,6 +101,31 @@ def test_connection_rejects_invalid_constants():
                 with pytest.raises(ValueError) as excinfo:
                     call(c)
                 assert not isinstance(excinfo.value, NotALieAlgebraError)
+
+
+def test_connection_finite_where_the_unhalved_sums_overflowed():
+    # An F8 + F10 sum that the gate accepts, whose Koszul sum C_ijk - C_ikj
+    # - C_jki passes double range before it is halved.  Halved first, each
+    # term is below 2**1022, and Gamma is within the rounding bound of the
+    # exact value: the halving is exact, and two subtractions of three terms
+    # are off by at most gamma_2 of the terms' absolute sum (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 4).
+    c = (class_algebra(ClassParams("F10", math.nextafter(2.0**1023, 0.0)))
+         + class_algebra(ClassParams("F8", 4e307)))
+    assert classify_manifold(c).verdict == ["F8", "F10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma = connection_coeffs(c)
+    assert np.all(np.isfinite(gamma))
+    u = Fraction(2) ** -53
+    gamma_2 = 2 * u / (1 - 2 * u)
+    x = [Fraction(v) for v in c.reshape(27).tolist()]
+    for i, j, k in itertools.product(range(3), repeat=3):
+        terms = (x[9 * i + 3 * j + k] / 2, -x[9 * i + 3 * k + j] / 2, -x[9 * j + 3 * k + i] / 2)
+        assert abs(Fraction(gamma[i, j, k]) - sum(terms)) <= gamma_2 * sum(map(abs, terms))
+    # |F| reaches 3 max|C|, past double range here: f_tensor's documented limit
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert np.isinf(f_tensor(c)).any()
 
 
 # --- derived tensor ----------------------------------------------------------
