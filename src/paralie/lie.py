@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .mat3 import Mat3
+from .mat3 import Mat3, _real
 from .structure import ClassParams
 
 StructureConstants = np.ndarray  # shape (3, 3, 3), C[i][j][k]
@@ -39,26 +39,25 @@ def structure_constants(components) -> StructureConstants:
 
 
 def _as_floats(components) -> np.ndarray:
-    # what float() refuses (an object, an integer past double range) is a ValueError
-    try:
-        return np.asarray(components, dtype=float)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"structure constants must be real numbers ({exc})") from None
+    return _real(components, "structure constants")
 
 
 def _validated(v: list) -> tuple[list, float]:
-    """_independent(v), once the flat components v (Python floats) are finite
-    and antisymmetric."""
-    pqr, m = _independent(v)
-    # compared, not added (a sum can overflow): P, Q, R against their mirrors
-    # C_10, C_20, C_21, and the diagonal C_00, C_11, C_22 against zero.  A
-    # NaN fails either test, and an inf that passes both is in P, Q or R.
-    mirrored = [-x for x in pqr] == v[9:12] + v[18:24]
-    if not mirrored or any(v[0:3] + v[12:15] + v[24:27]) or m == math.inf:
+    """P, Q, R = C_01, C_02, C_12 and their max-abs m (max|C|), once the flat
+    components v (Python floats) are finite and antisymmetric: one pass over
+    27 named floats, compared, not added (a sum can overflow).  A NaN fails
+    a mirror or is a nonzero diagonal entry; an inf that passes both is in
+    P, Q or R, where m is inf."""
+    (d00, d01, d02, p0, p1, p2, q0, q1, q2, mp0, mp1, mp2, d10, d11, d12, r0, r1, r2,
+     mq0, mq1, mq2, mr0, mr1, mr2, d20, d21, d22) = v
+    m = max(abs(p0), abs(p1), abs(p2), abs(q0), abs(q1), abs(q2), abs(r0), abs(r1), abs(r2))
+    if (mp0 != -p0 or mp1 != -p1 or mp2 != -p2 or mq0 != -q0 or mq1 != -q1 or mq2 != -q2
+            or mr0 != -r0 or mr1 != -r1 or mr2 != -r2 or m == math.inf
+            or d00 or d01 or d02 or d10 or d11 or d12 or d20 or d21 or d22):
         if not all(map(math.isfinite, v)):
             raise ValueError("structure constants must be finite")
         raise ValueError("structure constants must be antisymmetric in (i, j)")
-    return pqr, m
+    return [p0, p1, p2, q0, q1, q2, r0, r1, r2], m
 
 
 def _entries(brackets) -> tuple[np.ndarray, np.ndarray]:
@@ -119,18 +118,13 @@ def jacobi_defect(c: StructureConstants) -> float:
     C is read as structure_constants reads it: what is not 27 real numbers
     is a ValueError.
     """
-    return _jacobi(*_independent(_as_floats(c).reshape(27).tolist()))
-
-
-def _independent(v: list) -> tuple[list, float]:
-    """P, Q, R = C_01, C_02, C_12 out of the flat components v, and their
-    max-abs, which is max|C| when C is antisymmetric."""
-    pqr = v[3:9] + v[15:18]  # at flat 9i + 3j + m
-    return pqr, max(map(abs, pqr))
+    v = _as_floats(c).reshape(27).tolist()
+    pqr = v[3:9] + v[15:18]  # P, Q, R at flat 9i + 3j + m
+    return _jacobi(pqr, max(map(abs, pqr)))
 
 
 def _jacobi(pqr: list, m: float) -> float:
-    """jacobi_defect on P, Q, R with max-abs m, as _independent gives them."""
+    """jacobi_defect on P, Q, R with max-abs m, as _validated gives them."""
     e = math.frexp(m)[1]
     p0, p1, p2, q0, q1, q2, r0, r1, r2 = [math.ldexp(x, -e) for x in pqr]
     a, b, d = p0 - r2, p1 + q2, r1 + q0

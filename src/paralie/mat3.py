@@ -54,6 +54,18 @@ def _positive_tol(tol) -> float:
     return tol
 
 
+def _real(a, what: str) -> np.ndarray:
+    """a as a float64 array.  What float() refuses (an object, an integer past
+    double range) and complex a, not its real part, are a ValueError."""
+    try:
+        a = np.asarray(a)
+        if a.dtype.kind != "c":
+            return a.astype(float, copy=False)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{what} must be real numbers ({exc})") from None
+    raise ValueError(f"{what} must be real numbers, not {a.dtype}")
+
+
 def max_abs(a) -> float:
     """Max-abs entry, the norm used for every tolerance in this package."""
     return float(np.abs(a).max())
@@ -87,7 +99,7 @@ def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
     if _LONGDOUBLE_EPS > 1e-18:
         raise ValueError(
             f"expm_oracle needs an extended-precision longdouble (eps {_LONGDOUBLE_EPS:.3g} here)")
-    a = np.asarray(a, dtype=float)
+    a = _real(a, "expm_oracle's matrix entries")
     if a.shape != (3, 3) or not np.all(np.isfinite(a)):
         raise ValueError("expm_oracle expects a finite 3x3 matrix")
 

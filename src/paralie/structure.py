@@ -76,7 +76,7 @@ def check_structure(s: PhiBasisStructure) -> dict[str, float]:
     }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class LeeForms:
     """The three 1-forms contracted out of an F tensor:
 

@@ -6,7 +6,8 @@ Coordinates and tol are converted once with float(), as ClassParams
 converts alpha and beta, so what float() accepts (a numpy scalar, an int in
 double range, a numeric string) is taken at its float value, and what it
 refuses (None, a list, an int past double range) is a ValueError, never a
-TypeError or OverflowError.
+TypeError or OverflowError.  Complex input is refused the same way, rather
+than read as its real part with numpy's ComplexWarning.
 """
 
 import math
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 from paralie.expengine import closed_form
-from paralie.levicivita import classify_manifold
-from paralie.lie import adjoint_rep, class_algebra, jacobi_defect
+from paralie.levicivita import classify_manifold, connection_coeffs, f_tensor
+from paralie.lie import adjoint_rep, class_algebra, jacobi_defect, structure_constants
 from paralie.mat3 import expm_oracle
 from paralie.structure import CLASS_IDS, ClassParams
 
@@ -89,6 +90,12 @@ def test_expm_oracle_takes_tol_at_its_float_value():
         assert expm_oracle(np.eye(3), tol).tobytes() == want.tobytes()
 
 
+def test_expm_oracle_refuses_a_matrix_float_refuses():
+    for bad in ({}, object(), [[{}] * 3] * 3, [[10**400] * 3] * 3):
+        with pytest.raises(ValueError, match="expm_oracle's matrix entries must be real numbers"):
+            expm_oracle(bad)
+
+
 def test_adjoint_rep_refuses_coordinates_float_refuses():
     c = class_algebra(ClassParams("F4", 1.0))
     for bad in NOT_FLOATS:
@@ -126,3 +133,21 @@ def test_jacobi_defect_reads_what_structure_constants_reads():
     for bad in (None, [[0, 0, 0]] * 3, "one", [[[object()] * 3] * 3] * 3):
         with pytest.raises(ValueError):
             jacobi_defect(bad)
+
+
+def test_complex_input_is_refused_not_read_as_its_real_part():
+    c = class_algebra(ClassParams("F8", 1.0))
+    calls = (
+        structure_constants, jacobi_defect, connection_coeffs, f_tensor, classify_manifold,
+        lambda c: adjoint_rep(c, 0.5, 1.0, -2.0),
+        lambda c: expm_oracle(c[0]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            # taken as given when real, refused as complex, even with imag 0
+            call(c)
+            call(c.tolist())
+            for bad in (c + 1j, c + 0j, (c + 1j).tolist(), c.astype(np.complex64)):
+                with pytest.raises(ValueError, match="must be real numbers, not complex"):
+                    call(bad)

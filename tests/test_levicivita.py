@@ -20,7 +20,7 @@ from paralie.structure import (
     ClassParams,
     standard_structure,
 )
-from reference import class_pattern
+from reference import class_pattern, replaced_structure_constants
 
 PARAM_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
@@ -101,6 +101,66 @@ def test_connection_rejects_invalid_constants():
                 with pytest.raises(ValueError) as excinfo:
                     call(c)
                 assert not isinstance(excinfo.value, NotALieAlgebraError)
+
+
+def gate_outcome(fn, c):
+    """None where fn accepts c, else the type and message of its error."""
+    try:
+        fn(c)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def per_position_corruptions():
+    """A finite antisymmetric C with every off-diagonal entry nonzero, and
+    the gate's routes at each flat position: NaN, +inf and -inf at each of
+    the 27; a one-ulp break of antisymmetry at each off-diagonal one; a
+    nonzero entry (and -0.0, which is zero) at each diagonal one; and an
+    antisymmetric +-inf pair at each i < j."""
+    rng = np.random.default_rng(21)
+    upper = np.triu(np.ones((3, 3)), 1)[:, :, None] * rng.uniform(-2.0, 2.0, (3, 3, 3))
+    base = upper - upper.transpose(1, 0, 2)
+    yield base
+    for i, j, k in itertools.product(range(3), repeat=3):
+        changes = [math.nan, math.inf, -math.inf]
+        if i == j:
+            changes += [1.0, -5e-324, -0.0]
+        else:
+            changes.append(math.nextafter(base[i, j, k], math.inf))
+        for x in changes:
+            c = base.copy()
+            c[i, j, k] = x
+            yield c
+        if i < j:
+            for x in (math.inf, -math.inf):
+                c = base.copy()
+                c[i, j, k], c[j, i, k] = x, -x
+                yield c
+
+
+def test_gate_refuses_each_position_as_the_replaced_gate_does():
+    # the gate tests each of the 27 positions by name: each one must decide
+    # the outcome and the message as replaced_structure_constants does
+    routes = (structure_constants, connection_coeffs, f_tensor, classify_manifold)
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in per_position_corruptions():
+            want = gate_outcome(replaced_structure_constants, c)
+            seen.add(want)
+            for fn in routes:
+                got = gate_outcome(fn, c)
+                if want is None and fn is not structure_constants:
+                    # accepted by the gate; the Jacobi check decides next
+                    assert got is None or "Jacobi" in got[1]
+                else:
+                    assert got == want, (fn.__name__, c.reshape(27).tolist())
+    assert seen == {
+        None,
+        (ValueError, "structure constants must be finite"),
+        (ValueError, "structure constants must be antisymmetric in (i, j)"),
+    }
 
 
 def test_connection_finite_where_the_unhalved_sums_overflowed():
