@@ -26,9 +26,6 @@ from .mat3 import (
     Mat3,
     Vec3,
     expm_oracle,
-    max_abs,
-    trace,
-    trace_sq,
 )
 from .structure import (
     CLASS_IDS,

@@ -10,16 +10,17 @@ and nabla phi, for the phi of the standard structure, is one commutator per
 frame vector, F[i] = phi Gamma[i] - Gamma[i] phi: algebra -> connection ->
 tensor -> class and parameters.  Every step is linear, so classification
 applies the composite once: a fixed (23, 9) matrix on the nine independent
-constants, which the validation gate already holds as Python floats,
-evaluated as 23 straight-line sums on those floats.
+constants, which the validation gate holds as Python floats, evaluated as
+23 straight-line sums.  Its class patterns are F of lie.class_algebra at
+unit parameters, so the bracket table is the one per-class table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lie import StructureConstants, _as_floats, _flat, _jacobi, _validated
-from .structure import _BASIS, _LEE, _NORM_SQ, ClassReport, FTensor, LeeForms, _report
+from .lie import StructureConstants, _as_floats, _flat, _jacobi, _validated, class_algebra
+from .structure import _LEE, CLASS_IDS, ClassParams, ClassReport, FTensor, LeeForms, _report
 from .structure import standard_structure
 
 JACOBI_TOL = 1e-12
@@ -101,14 +102,17 @@ def f_tensor(c: StructureConstants) -> FTensor:
 
 # Classification is linear in the nine independent constants C[i][j][k],
 # i < j, since C[j][i][k] = -C[i][j][k]: one (23, 9) map, built once by
-# running the maps above, the projection onto the patterns and the Lee
-# contraction on the unit antisymmetric constants.  Rows 0-13 are the class
-# parameters, rows 14-22 the Lee forms.  Every entry is +-1/2, +-1 or +-2,
-# at most three per row, so a pure class is recovered exactly, and each
-# row's L1 norm is at most 2, so below max|C| = 2**1023 nothing overflows.
-# The patterns span every F that an algebra induces, so nothing is left over.
-# classify_manifold applies the map as _recover's sums; the matrix is their
-# definition, which the tests hold them to.
+# running the maps above, the projection onto the class patterns and the Lee
+# contraction on the unit antisymmetric constants.  Pattern row 2n (2n+1) is
+# F of CLASS_IDS[n]'s algebra, from lie's bracket table, at unit alpha (beta).
+# The rows are orthogonal; a one-parameter class's zero beta row has its
+# squared norm clamped to 1.  Rows 0-13 are the parameters, 14-22 Lee forms.
+# Every entry is +-1/2, +-1 or +-2, at most three per row, so a pure class is
+# recovered exactly, and each row's L1 norm is at most 2, so below
+# max|C| = 2**1023 nothing overflows.  The patterns span every F that an
+# algebra induces, so nothing is left over.  classify_manifold applies the
+# map as _recover's sums; the matrix is their definition, which the tests
+# hold them to.
 _INDEP = np.flatnonzero(_I < _J)
 
 
@@ -118,7 +122,10 @@ def _fused_map() -> np.ndarray:
     u = u.reshape(3, 3, 3, 9)
     gamma = _koszul((u - u.transpose(1, 0, 2, 3)).reshape(27, 9))
     f = _nabla_phi(gamma.reshape(3, 3, 3, 9).transpose(3, 0, 1, 2)).reshape(9, 27).T
-    return np.vstack((_BASIS @ f / _NORM_SQ[:, None], _LEE @ f))
+    basis = np.array([class_algebra(ClassParams(cid, *ab)).reshape(27)[_INDEP]
+                      for cid in CLASS_IDS for ab in ((1.0, 0.0), (0.0, 1.0))]) @ f.T
+    norm_sq = np.maximum(np.sum(basis**2, axis=1), 1.0)
+    return np.vstack((basis @ f / norm_sq[:, None], _LEE @ f))
 
 
 _CLASSIFY = _fused_map()

@@ -14,10 +14,10 @@ of such tensors survive, each a one- or two-parameter pattern:
     F10 : 2*alpha * x0*(y1*z1 - y2*z2)
     F11 : x0 * (beta*(y0*z1 + y1*z0) + alpha*(y0*z2 + y2*z0))
 
-F0 is the integrable case F = 0.  The 14 (class, parameter) patterns are
-stored once, as the rows of one orthogonal basis; levicivita folds the
-projection onto them into its classification map, and the verdict is read
-off the 14 recovered parameters in one pass.
+F0 is the integrable case F = 0.  No table of these patterns is stored:
+each is F of its class's algebra (lie's bracket table) at a unit parameter.
+levicivita folds the projection onto them into its classification map, and
+the verdict is read off the 14 recovered parameters in one pass.
 """
 
 from __future__ import annotations
@@ -118,19 +118,6 @@ class ClassParams:
             raise ValueError("F0 requires alpha = beta = 0")
 
 
-# Support of each class pattern, read off the trilinear forms above: per
-# class, the (i, j, k): weight cells of the alpha part, then of the beta part.
-_SUPPORT = {
-    "F1": ({(1, 1, 1): 2, (1, 2, 2): -2}, {(2, 1, 1): 2, (2, 2, 2): -2}),
-    "F4": ({(1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 2): 1, (2, 2, 0): 1}, {}),
-    "F5": ({(1, 0, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (2, 1, 0): 1}, {}),
-    "F8": ({(1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 2): -1, (2, 2, 0): -1}, {}),
-    "F9": ({(1, 0, 2): 1, (1, 2, 0): 1, (2, 0, 1): -1, (2, 1, 0): -1}, {}),
-    "F10": ({(0, 1, 1): 2, (0, 2, 2): -2}, {}),
-    "F11": ({(0, 0, 2): 1, (0, 2, 0): 1}, {(0, 0, 1): 1, (0, 1, 0): 1}),
-}
-
-
 # Cells of the Lee forms' nine components (theta, theta*, omega), read off
 # LeeForms' docstring.
 _LEE_CELLS = (
@@ -150,13 +137,6 @@ def _dense(rows) -> np.ndarray:
 
 
 _LEE = _dense(_LEE_CELLS)
-
-# Rows 2n and 2n+1: the alpha and beta patterns of CLASS_IDS[n].  The rows
-# are mutually orthogonal, so a parameter is the projection onto its row over
-# the row's squared norm.  The one-parameter classes' beta rows are zero;
-# clamping their norm to 1 makes them project to 0.
-_BASIS = _dense([cells for cid in CLASS_IDS for cells in _SUPPORT[cid]])
-_NORM_SQ = np.maximum(np.sum(_BASIS**2, axis=1), 1.0)
 
 
 @dataclass(eq=False)

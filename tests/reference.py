@@ -3,9 +3,13 @@
 ``annihilator`` detects a low-degree polynomial identity of a matrix with no
 class label, by a least-squares fit and a heuristic absolute threshold; the
 tests use it to cross-check the closed forms.  ``bracket`` is the einsum
-form of the Lie bracket.  ``class_pattern`` and ``lee_forms`` build a class
-pattern from two rows of the library's basis and contract the Lee forms
-out of a tensor, the ground truth for F and for the Lee forms.
+form of the Lie bracket.  ``PATTERN_CELLS`` is the paper's table of the
+seven class patterns, the trilinear forms of ``paralie.structure``'s
+docstring, kept here because the library derives its patterns from the
+bracket table instead; ``_BASIS`` and ``_NORM_SQ`` are its 14 rows and their
+squared norms.  ``class_pattern`` and ``lee_forms`` build a class pattern
+from two rows of that basis and contract the Lee forms out of a tensor, the
+ground truth for F and for the Lee forms.
 ``classify_by_projection`` is the classification path that one fused
 linear map replaced, step by step, on ``replaced_koszul`` and
 ``replaced_nabla_phi``: the Koszul sums before C was halved first, and
@@ -29,7 +33,7 @@ from paralie import levicivita
 from paralie.levicivita import NotALieAlgebraError
 from paralie.lie import _flat, _ldexp
 from paralie.mat3 import max_abs, trace, trace_sq
-from paralie.structure import _BASIS, _LEE, _NORM_SQ, CLASS_IDS, ClassParams, LeeForms
+from paralie.structure import _LEE, CLASS_IDS, ClassParams, LeeForms, _dense
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,26 @@ def jacobi_defect_matmul(c) -> float:
     cs = np.ldexp(c, -e)
     t = (cs.reshape(9, 3) @ cs.reshape(3, 9)).reshape(81)
     return _ldexp(max_abs(t + t[_JKIM] + t[_KIJM]), 2 * e)
+
+
+# Per class, the (i, j, k): weight cells of the alpha part, then of the beta
+# part, read off the trilinear forms in paralie.structure's docstring.
+PATTERN_CELLS = {
+    "F1": ({(1, 1, 1): 2, (1, 2, 2): -2}, {(2, 1, 1): 2, (2, 2, 2): -2}),
+    "F4": ({(1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 2): 1, (2, 2, 0): 1}, {}),
+    "F5": ({(1, 0, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (2, 1, 0): 1}, {}),
+    "F8": ({(1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 2): -1, (2, 2, 0): -1}, {}),
+    "F9": ({(1, 0, 2): 1, (1, 2, 0): 1, (2, 0, 1): -1, (2, 1, 0): -1}, {}),
+    "F10": ({(0, 1, 1): 2, (0, 2, 2): -2}, {}),
+    "F11": ({(0, 0, 2): 1, (0, 2, 0): 1}, {(0, 0, 1): 1, (0, 1, 0): 1}),
+}
+
+# Rows 2n and 2n+1: the alpha and beta patterns of CLASS_IDS[n].  The rows
+# are mutually orthogonal, so a parameter is the projection onto its row over
+# the row's squared norm.  The one-parameter classes' beta rows are zero;
+# clamping their norm to 1 makes them project to 0.
+_BASIS = _dense([cells for cid in CLASS_IDS for cells in PATTERN_CELLS[cid]])
+_NORM_SQ = np.maximum(np.sum(_BASIS**2, axis=1), 1.0)
 
 
 def class_pattern(p: ClassParams) -> np.ndarray:

@@ -91,7 +91,7 @@ def test_expm_oracle_takes_tol_at_its_float_value():
 
 
 def test_expm_oracle_refuses_a_matrix_float_refuses():
-    for bad in ({}, object(), [[{}] * 3] * 3, [[10**400] * 3] * 3):
+    for bad in ({}, object(), [[{}] * 3] * 3, [[10**400] * 3] * 3, [[None] * 3] * 3):
         with pytest.raises(ValueError, match="expm_oracle's matrix entries must be real numbers"):
             expm_oracle(bad)
 
@@ -151,3 +151,17 @@ def test_complex_input_is_refused_not_read_as_its_real_part():
             for bad in (c + 1j, c + 0j, (c + 1j).tolist(), c.astype(np.complex64)):
                 with pytest.raises(ValueError, match="must be real numbers, not complex"):
                     call(bad)
+
+
+def test_none_entries_are_refused_as_not_real_numbers_not_as_nan():
+    # numpy's astype(float) reads None as NaN; float() refuses it, as it
+    # refuses alpha = None
+    c = class_algebra(ClassParams("F8", 1.0)).tolist()
+    c[0][1][2] = None
+    calls = (
+        structure_constants, jacobi_defect, connection_coeffs, f_tensor, classify_manifold,
+        lambda c: adjoint_rep(c, 0.5, 1.0, -2.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="structure constants must be real numbers"):
+            call(c)

@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from paralie.cli import main
 from paralie.structure import (
-    _BASIS,
-    _NORM_SQ,
     CLASS_IDS,
     TWO_PARAMETER_CLASSES,
     ClassParams,
     check_structure,
     standard_structure,
 )
-from reference import class_pattern, lee_forms
+from reference import _BASIS, _NORM_SQ, class_pattern, lee_forms
 
 PARAM_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
