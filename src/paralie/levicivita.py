@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lie import StructureConstants, _as_floats, _flat, _jacobi, _validated, class_algebra
+from .lie import StructureConstants, _flat, _jacobi, _validated, class_algebra
+from .mat3 import _real
 from .structure import _LEE, CLASS_IDS, ClassParams, ClassReport, FTensor, LeeForms, _report
 from .structure import standard_structure
 
@@ -50,12 +51,12 @@ def _lie_algebra(c: StructureConstants) -> tuple[np.ndarray, list]:
     (flat[_INDEP]) as Python floats, once C is an algebra this package accepts.
 
     The one check between structure constants and the geometry, shared by
-    connection_coeffs, f_tensor and classify_manifold: C must be real, finite
-    and antisymmetric (ValueError), pass the Jacobi check (NotALieAlgebraError)
-    and have max|C| < 2**1023 (ValueError).  C is read once: one list of
-    Python floats and one max|C| serve every check.
+    connection_coeffs, f_tensor and classify_manifold: C must be 27 real
+    numbers, finite and antisymmetric (ValueError), pass the Jacobi check
+    (NotALieAlgebraError) and have max|C| < 2**1023 (ValueError).  C is read
+    once: one list of Python floats and one max|C| serve every check.
     """
-    flat = _as_floats(c).reshape(27)
+    flat = _real(c, "structure constants").ravel()
     pqr, m = _validated(flat.tolist())
     defect = _jacobi(pqr, m)
     if defect > JACOBI_TOL:

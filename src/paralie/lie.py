@@ -33,31 +33,43 @@ def _flat(i, j, k):
 
 def structure_constants(components) -> StructureConstants:
     """Validate a 3x3x3 array of bracket coefficients (antisymmetry included)."""
-    c = _as_floats(components).reshape(3, 3, 3)
-    _validated(c.reshape(27).tolist())
-    return c
-
-
-def _as_floats(components) -> np.ndarray:
-    return _real(components, "structure constants")
+    flat = _real(components, "structure constants").ravel()
+    _validated(flat.tolist())
+    return flat.reshape(3, 3, 3)
 
 
 def _validated(v: list) -> tuple[list, float]:
+    """_antisymmetric's P, Q, R and m = max|C|, once m is finite too: the
+    constants are then 27 finite numbers, antisymmetric in (i, j)."""
+    pqr, m = _antisymmetric(v)
+    if m == math.inf:
+        raise ValueError("structure constants must be finite")
+    return pqr, m
+
+
+def _antisymmetric(v: list) -> tuple[list, float]:
     """P, Q, R = C_01, C_02, C_12 and their max-abs m (max|C|), once the flat
-    components v (Python floats) are finite and antisymmetric: one pass over
-    27 named floats, compared, not added (a sum can overflow).  A NaN fails
-    a mirror or is a nonzero diagonal entry; an inf that passes both is in
-    P, Q or R, where m is inf."""
-    (d00, d01, d02, p0, p1, p2, q0, q1, q2, mp0, mp1, mp2, d10, d11, d12, r0, r1, r2,
-     mq0, mq1, mq2, mr0, mr1, mr2, d20, d21, d22) = v
-    m = max(abs(p0), abs(p1), abs(p2), abs(q0), abs(q1), abs(q2), abs(r0), abs(r1), abs(r2))
+    components v (Python floats) are 27, antisymmetric and not NaN: one pass
+    over 27 named floats, compared, not added (a sum can overflow).  A NaN
+    fails a mirror or is a nonzero diagonal entry; an inf passes where its
+    mirror is -inf, and is then in P, Q or R, where m is inf."""
+    try:
+        (d00, d01, d02, p0, p1, p2, q0, q1, q2, mp0, mp1, mp2, d10, d11, d12, r0, r1, r2,
+         mq0, mq1, mq2, mr0, mr1, mr2, d20, d21, d22) = v
+    except ValueError:
+        raise _wrong_size(v) from None
     if (mp0 != -p0 or mp1 != -p1 or mp2 != -p2 or mq0 != -q0 or mq1 != -q1 or mq2 != -q2
-            or mr0 != -r0 or mr1 != -r1 or mr2 != -r2 or m == math.inf
+            or mr0 != -r0 or mr1 != -r1 or mr2 != -r2
             or d00 or d01 or d02 or d10 or d11 or d12 or d20 or d21 or d22):
         if not all(map(math.isfinite, v)):
             raise ValueError("structure constants must be finite")
         raise ValueError("structure constants must be antisymmetric in (i, j)")
+    m = max(abs(p0), abs(p1), abs(p2), abs(q0), abs(q1), abs(q2), abs(r0), abs(r1), abs(r2))
     return [p0, p1, p2, q0, q1, q2, r0, r1, r2], m
+
+
+def _wrong_size(v: list) -> ValueError:
+    return ValueError(f"structure constants must have 3 x 3 x 3 = 27 entries, not {len(v)}")
 
 
 def _entries(brackets) -> tuple[np.ndarray, np.ndarray]:
@@ -118,18 +130,29 @@ def jacobi_defect(c: StructureConstants) -> float:
     C is read as structure_constants reads it: what is not 27 real numbers
     is a ValueError.
     """
-    v = _as_floats(c).reshape(27).tolist()
+    v = _real(c, "structure constants").ravel().tolist()
+    if len(v) != 27:
+        raise _wrong_size(v)
     pqr = v[3:9] + v[15:18]  # P, Q, R at flat 9i + 3j + m
     return _jacobi(pqr, max(map(abs, pqr)))
 
 
 def _jacobi(pqr: list, m: float) -> float:
-    """jacobi_defect on P, Q, R with max-abs m, as _validated gives them."""
-    e = math.frexp(m)[1]
-    p0, p1, p2, q0, q1, q2, r0, r1, r2 = [math.ldexp(x, -e) for x in pqr]
+    """jacobi_defect on P, Q, R with max-abs m, as _validated gives them.
+
+    The nine are multiplied by s = 2**-e, exact or correctly rounded as
+    math.ldexp is.  Below max-abs 2**-1021, 2**-e would be past double
+    range; e is clamped to -1020 there, where the scaled entries and their
+    products stay normal, so the scaled-back defect has the same bits.
+    """
+    e = max(math.frexp(m)[1], -1020)
+    s = math.ldexp(1.0, -e)
+    p0, p1, p2, q0, q1, q2, r0, r1, r2 = pqr
+    p0, p1, p2, q0, q1, q2, r0, r1, r2 = (
+        p0 * s, p1 * s, p2 * s, q0 * s, q1 * s, q2 * s, r0 * s, r1 * s, r2 * s)
     a, b, d = p0 - r2, p1 + q2, r1 + q0
-    j = (a * q0 + b * r0 - d * p0, a * q1 + b * r1 - d * p1, a * q2 + b * r2 - d * p2)
-    return _ldexp(max(map(abs, j)), 2 * e)
+    return _ldexp(max(abs(a * q0 + b * r0 - d * p0), abs(a * q1 + b * r1 - d * p1),
+                      abs(a * q2 + b * r2 - d * p2)), 2 * e)
 
 
 def _ldexp(x: float, e: int) -> float:
@@ -160,9 +183,13 @@ def adjoint_rep(c: StructureConstants, a: float, b: float, co: float) -> Mat3:
 
     The coordinates are read by _coordinates(), as closed_form reads them:
     what float() refuses, and a coordinate that is not finite, is a
-    ValueError.
+    ValueError.  C is then checked as structure_constants checks it, except
+    that an inf mirrored by -inf passes, as class_algebra gives it past
+    double range: A is C's entries times the coordinates, inf included.
     """
     x0, x1, x2 = _coordinates(a, b, co)
+    flat = _real(c, "structure constants").ravel()
+    _antisymmetric(flat.tolist())
     # one (3,) @ (3, 9) product on the negated coordinates, exactly the
     # negated product; + 0.0 clears negative zeros
-    return (np.array((-x0, -x1, -x2)) @ _as_floats(c).reshape(3, 9)).reshape(3, 3) + 0.0
+    return (np.array((-x0, -x1, -x2)) @ flat.reshape(3, 9)).reshape(3, 3) + 0.0

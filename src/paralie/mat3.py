@@ -56,15 +56,16 @@ def _positive_tol(tol) -> float:
 
 def _real(a, what: str) -> np.ndarray:
     """a as a float64 array.  What float() refuses (None, an object, an
-    integer past double range) and complex a, not its real part, are a
-    ValueError; float() reads object entries, as astype reads None as NaN."""
+    integer past double range, a string that is not a number), ragged
+    nesting and complex a, not its real part, are a ValueError that names
+    what; float() reads object entries, as astype reads None as NaN."""
     try:
         a = np.asarray(a)
         if a.dtype.kind not in "Oc":
             return a.astype(float, copy=False)
         if a.dtype.kind == "O":
             return np.asarray(np.frompyfunc(float, 1, 1)(a)).astype(float)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be real numbers ({exc})") from None
     raise ValueError(f"{what} must be real numbers, not {a.dtype}")
 

@@ -165,3 +165,49 @@ def test_none_entries_are_refused_as_not_real_numbers_not_as_nan():
     for call in calls:
         with pytest.raises(ValueError, match="structure constants must be real numbers"):
             call(c)
+
+
+CONSTANTS_CALLS = (
+    structure_constants, jacobi_defect, connection_coeffs, f_tensor, classify_manifold,
+    lambda c: adjoint_rep(c, 0.5, 1.0, -2.0),
+)
+
+
+@pytest.mark.parametrize("shape", [(26,), (28,), (3, 3, 4), (3, 3)])
+def test_constants_of_the_wrong_size_are_refused_naming_them(shape):
+    # numpy's reshape message named neither C nor its size rule
+    n = math.prod(shape)
+    for c in (np.zeros(shape), np.zeros(shape).tolist()):
+        for call in CONSTANTS_CALLS:
+            with pytest.raises(ValueError, match=f"structure constants must have .* 27 entries, not {n}$"):
+                call(c)
+
+
+def test_string_and_ragged_constants_are_refused_as_not_real_numbers():
+    # numpy's own conversion and inhomogeneous-shape messages named no input
+    string = class_algebra(ClassParams("F8", 1.0)).tolist()
+    string[0][1][2] = "x"
+    ragged_row = class_algebra(ClassParams("F8", 1.0)).tolist()
+    ragged_row[1] = ragged_row[1][:2]
+    ragged_entry = class_algebra(ClassParams("F8", 1.0)).tolist()
+    ragged_entry[1][2] = [0.0, 1.0]
+    for c in (string, ragged_row, ragged_entry):
+        for call in CONSTANTS_CALLS:
+            with pytest.raises(ValueError, match="structure constants must be real numbers"):
+                call(c)
+    for bad in ([[1.0, 0.0, "x"], [0.0] * 3, [0.0] * 3], [[1.0] * 3, [0.0] * 2, [0.0] * 3]):
+        with pytest.raises(ValueError, match="expm_oracle's matrix entries must be real numbers"):
+            expm_oracle(bad)
+
+
+def test_adjoint_rep_checks_the_constants():
+    # C is read as structure_constants reads it; an inf mirrored by -inf,
+    # as class_algebra gives it past double range, still maps entrywise
+    nan = np.zeros((3, 3, 3))
+    nan[0, 1, 2] = math.nan
+    for c, rule in ((np.ones((3, 3, 3)), "antisymmetric"), (nan, "finite")):
+        with pytest.raises(ValueError, match=f"structure constants must be {rule}"):
+            adjoint_rep(c, 0.5, 1.0, -2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = adjoint_rep(class_algebra(ClassParams("F8", 1e308)), 0.0, 1.0, 0.0)
+    assert a[2, 0] == -math.inf

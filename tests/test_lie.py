@@ -13,7 +13,7 @@ from paralie.cli import main
 from paralie.lie import adjoint_rep, class_algebra, jacobi_defect, structure_constants
 from paralie.mat3 import trace, trace_sq
 from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams
-from reference import annihilator, bracket, jacobi_defect_matmul
+from reference import annihilator, bracket, jacobi_defect_matmul, replaced_jacobi_defect
 
 PARAM_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 COORDS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -243,6 +243,37 @@ def test_jacobi_defect_inf_where_products_overflow_with_both_signs():
     assert math.isnan(s * s + s * s - s * s)
     assert jacobi_defect(c) == math.inf
     assert jacobi_defect_matmul(c) == math.inf
+
+
+def constants_at_max(rng, top, decades):
+    """Antisymmetric C with max|C| = top: P, Q, R spread over up to
+    `decades` decades below it, one of them +-top."""
+    pqr = rng.uniform(-1.0, 1.0, 9) * 10.0 ** rng.uniform(-decades, 0.0, 9) * top
+    pqr[rng.integers(9)] = rng.choice((-1.0, 1.0)) * top
+    c = np.zeros((3, 3, 3))
+    c[0, 1], c[0, 2], c[1, 2] = pqr.reshape(3, 3)
+    return c - c.transpose(1, 0, 2)
+
+
+def test_jacobi_bit_identical_to_ldexp_scaling_at_the_ends_of_double_range():
+    # Scaling by the product with 2**-e rounds as math.ldexp does.  Below
+    # max|C| = 2**-1021, 2**-e itself is past double range, which the
+    # clamp of e at -1020 keeps from happening; above 2**1022, 2**-e is
+    # subnormal.  Mixed scales near the top give finite nonzero defects.
+    rng = np.random.default_rng(83)
+    low = [2.0**e * f for e in range(-1074, -1019) for f in (1.0, 1.5)]
+    high = [2.0**e * f for e in (1020, 1021, 1022) for f in (1.0, 1.5, math.nextafter(2.0, 0.0))]
+    finite = 0
+    for top in low + high:
+        for decades in (0.0, 5.0, 300.0, 600.0):
+            for _ in range(3):
+                c = constants_at_max(rng, top, decades)
+                assert np.max(np.abs(c)) == top
+                got = jacobi_defect(c)
+                assert got.hex() == replaced_jacobi_defect(c).hex(), c.tolist()
+                finite += 0.0 < got < math.inf
+    assert math.nextafter(2.0**1023, 0.0) in high
+    assert finite > 0
 
 
 def random_rotation(rng):
