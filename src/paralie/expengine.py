@@ -29,14 +29,25 @@ Each call is nine numbers, so the scalar work runs on Python floats.  A's
 nine entries come straight from the coordinates and the class's bracket
 table (lie._ENTRIES): each nonzero C_ij^k subtracts x_i * C_ij^k from
 A[j][k], in i order, the products and sums lie.adjoint_rep forms on
-class_algebra's constants.  tr A, tr A^2, t, u, the label, the entries of
-E + t*A + u*A^2 and their finiteness check all take those floats, in the
-order the numpy expressions used, and one np.array each makes A and exp(A).
-A^2 runs on those floats too where each of its entries is one product,
-A[l] * A[r], as it is in F4, F9 and F10 (_SQUARE, derived from the same
-terms): a single product rounds the same whether or not BLAS fuses it with
-an add of zero.  numpy keeps only F8's A^2, whose diagonal sums two
-products, and BLAS may fuse that sum in a way Python floats cannot repeat;
+class_algebra's constants.  tr A, tr A^2, t, u and the label take those
+floats, in the order the numpy expressions used, and one np.array each
+makes A and exp(A).
+
+exp(A) starts as E and is evaluated only where it can differ from E: on
+the class's plan (_PLANS), read off the bracket table at import, the
+entries where A or A^2 can be nonzero (three to six of the nine outside
+F8).  Each planned entry is E[n] + t*A[n] for F1, F5 and F11, which never
+form A^2, and E[n] + t*A[n] + u*A^2[n] for the cubic classes, checked for
+finiteness as it is formed.  Off the plan A[n] and A^2[n] are +0.0, t is
+finite and u finite and not negative, so E[n] + t*0.0 + u*0.0 is E[n] to
+the last bit (+0.0 plus -0.0 is +0.0) and needs no arithmetic.  In F4, F9
+and F10 every entry of A^2 is one product, A[l] * A[r] (_SQUARE, derived
+from the same terms), formed on the floats inside that entry's expression:
+a single product rounds the same whether or not BLAS fuses it with an add
+of zero.  Where A^2 is zero but A is not, the plan multiplies two entries
+of A that are always +0.0, the zero the formed square held there.  Only
+F8's A^2, whose diagonal sums two products, stays in numpy, on all nine
+entries: BLAS may fuse that sum in a way Python floats cannot repeat, and
 it is np.dot(A, A), the dgemm that A @ A runs, without the matmul ufunc's
 overhead.
 """
@@ -79,6 +90,28 @@ def _square_terms(terms: list) -> list | None:
 
 # Per cubic class, its A^2 as single products, or None (F8) for np.dot(A, A)
 _SQUARE = {cid: _square_terms(_TERMS[cid]) for cid in CLASS_IDS if cid not in _TRACE_FACTOR}
+
+
+def _plan(cid: str) -> tuple:
+    """closed_form's plan for class cid: (factor, entries).
+
+    factor is _TRACE_FACTOR's, or None for the cubic classes.  entries are
+    the flat indices n, sorted, where A (quadratic classes) or A or A^2
+    (F4, F9, F10) is structurally nonzero, the latter each as (n, l, r)
+    with A^2[n] = A[l] * A[r]; where A^2[n] is zero, l = r is an entry of A
+    that is always +0.0.  F8's entries are None: all nine, with np.dot(A, A).
+    """
+    nonzero = sorted({n for _, n, _ in _TERMS[cid]})
+    if cid in _TRACE_FACTOR:
+        return _TRACE_FACTOR[cid], tuple(nonzero)
+    if _SQUARE[cid] is None:
+        return None, None
+    zero = min(set(range(9)).difference(nonzero))
+    pairs = {n: (l, r) for n, l, r in _SQUARE[cid]}
+    return None, tuple((n, *pairs.get(n, (zero, zero))) for n in sorted(pairs.keys() | nonzero))
+
+
+_PLANS = {cid: _plan(cid) for cid in CLASS_IDS}
 
 
 @dataclass(eq=False)
@@ -133,9 +166,10 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
     float() refuses or that are not finite, and an exponential past double
     range, raise ValueError.
     """
-    cid = p.class_id
-    if cid not in CLASS_IDS:
-        raise ValueError(f"closed_form is defined for {CLASS_IDS}, not {cid!r}")
+    plan = _PLANS.get(p.class_id)
+    if plan is None:
+        raise ValueError(f"closed_form is defined for {CLASS_IDS}, not {p.class_id!r}")
+    factor, entries = plan
 
     # Overflow anywhere below ends in the one raise after the try, not in
     # the except, so the ValueError carries no OverflowError as context.
@@ -144,32 +178,39 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
     v = _adjoint_entries(p, a, b, c)
     A = np.array(v)
     A.shape = (3, 3)
+    e = list(_E)
     try:
-        if cid in _TRACE_FACTOR:
-            k = _TRACE_FACTOR[cid] * _finite(v[0] + v[4] + v[8])  # tr A
+        if factor is not None:
+            k = factor * _finite(v[0] + v[4] + v[8])  # tr A
             t = math.expm1(k) / k if k else 1.0
             u = 0.0
             branch = "generic" if k else "trace_zero"
             # u = 0 needs no A^2, which overflows long before E + t*A does
-            e = [d + t * x for d, x in zip(_E, v)]
+            for n in entries:
+                e[n] = x = e[n] + t * v[n]
+                if not math.isfinite(x):
+                    raise OverflowError
         else:
             z = 0.5 * _finite(_trace_sq(v))
+            t, u = _cubic(z)
             # z underflows before A does, so an exact zero is read on A: all
             # of it for F8, otherwise the a*E0 block (rows and columns 1, 2)
             # that carries tr A^2
-            if cid == "F8":
+            if entries is None:
                 sq = np.dot(A, A).reshape(9).tolist()
                 branch = "generic" if z or any(v) else "zero_matrix"
+                e = [d + t * x + u * y for d, x, y in zip(_E, v, sq)]
+                if not all(map(math.isfinite, e)):
+                    raise OverflowError
             else:
-                sq = [0.0] * 9
-                for n, l, r in _SQUARE[cid]:
-                    sq[n] = v[l] * v[r]
                 branch = "generic" if z or v[4] or v[5] or v[7] or v[8] else "trA2_zero"
-            t, u = _cubic(z)
-            e = [d + t * x + u * y for d, x, y in zip(_E, v, sq)]
-    except OverflowError:  # math.expm1/sinh, or a trace, past double range
-        e = [math.inf]
-    if not all(map(math.isfinite, e)):
+                for n, l, r in entries:
+                    e[n] = x = e[n] + t * v[n] + u * (v[l] * v[r])
+                    if not math.isfinite(x):
+                        raise OverflowError
+    except OverflowError:  # math.expm1/sinh, a trace, or exp(A) past double range
+        e = None
+    if e is None:
         raise ValueError("exponential overflows double precision at these parameters")
     expA = np.array(e)  # owns its data, unlike a reshaped view
     expA.shape = (3, 3)

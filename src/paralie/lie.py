@@ -117,9 +117,9 @@ def class_algebra(p: ClassParams) -> StructureConstants:
 def jacobi_defect(c: StructureConstants) -> float:
     """Max-abs violation of the Jacobi identity; 0 for genuine Lie algebras.
 
-    C must be finite and antisymmetric, as structure_constants checks: in
-    dimension three the identity then has three components, on P = C_01,
-    Q = C_02 and R = C_12 (3-vectors in the upper index m),
+    For finite, antisymmetric C in dimension three the identity has three
+    components, on P = C_01, Q = C_02 and R = C_12 (3-vectors in the upper
+    index m),
 
         J^m = (P_0 - R_2) Q_m + (P_1 + Q_2) R_m - (R_1 + Q_0) P_m,
 
@@ -127,14 +127,10 @@ def jacobi_defect(c: StructureConstants) -> float:
     and 0 for a repeated index.  J runs on the constants scaled by a power of
     two to max-abs in [1/2, 1), so it cannot overflow, and is scaled back
     exactly; a defect beyond double range comes out as inf, never NaN.
-    C is read as structure_constants reads it: what is not 27 real numbers
-    is a ValueError.
+    C is read and checked as structure_constants checks it: what is not 27
+    finite real numbers, antisymmetric in (i, j), is a ValueError.
     """
-    v = _real(c, "structure constants").ravel().tolist()
-    if len(v) != 27:
-        raise _wrong_size(v)
-    pqr = v[3:9] + v[15:18]  # P, Q, R at flat 9i + 3j + m
-    return _jacobi(pqr, max(map(abs, pqr)))
+    return _jacobi(*_validated(_real(c, "structure constants").ravel().tolist()))
 
 
 def _jacobi(pqr: list, m: float) -> float:

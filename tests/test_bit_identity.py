@@ -247,7 +247,7 @@ def replaced_classify(c, tol=1e-12):
 # each public function next to its composition from the replaced gate
 GATED = (
     (structure_constants, replaced_structure_constants),
-    (jacobi_defect, replaced_jacobi_defect),
+    (jacobi_defect, lambda c: replaced_jacobi_defect(replaced_structure_constants(c))),
     (connection_coeffs, lambda c: _koszul(replaced_lie_algebra(c)).reshape(3, 3, 3)),
     (f_tensor, lambda c: _nabla_phi(_koszul(replaced_lie_algebra(c)).reshape(3, 3, 3))),
     (classify_manifold, replaced_classify),

@@ -211,3 +211,16 @@ def test_adjoint_rep_checks_the_constants():
     with np.errstate(over="ignore", invalid="ignore"):
         a = adjoint_rep(class_algebra(ClassParams("F8", 1e308)), 0.0, 1.0, 0.0)
     assert a[2, 0] == -math.inf
+
+
+def test_jacobi_defect_checks_the_constants():
+    # C is checked as structure_constants checks it: C that is not
+    # antisymmetric no longer reads as defect 0.0, nor NaN constants as NaN,
+    # and an inf mirrored by -inf is not finite
+    nan = np.zeros((3, 3, 3))
+    nan[0, 1, 2] = math.nan
+    cases = ((np.ones((3, 3, 3)), "antisymmetric"), (nan, "finite"), (nan.tolist(), "finite"),
+             (class_algebra(ClassParams("F8", 1e308)), "finite"))
+    for c, rule in cases:
+        with pytest.raises(ValueError, match=f"structure constants must be {rule}"):
+            jacobi_defect(c)

@@ -161,6 +161,27 @@ def test_overflow_raises_without_warning(cid):
             assert info.value.__context__ is None and info.value.__cause__ is None
 
 
+@pytest.mark.parametrize("cid, coords", [
+    ("F4", (2.0, 0.0, 1e308)),
+    ("F10", (2.0, 0.0, 1e308)),
+    ("F9", (2.0, 1e308, 0.0)),
+    ("F5", (-2.0, 1e308, 0.0)),
+])
+def test_overflow_only_an_entry_of_the_exponential_reaches(cid, coords):
+    # A, its traces and so t and u are finite (tr A^2 = 8 or tr A = 4), but
+    # t * A[0][1] = t * 1e308 with t > 1 is past double range: only the
+    # finiteness check on the entries of exp(A) can catch it
+    p = ClassParams(cid, 1.0)
+    a = adjoint_rep(class_algebra(p), *coords)
+    assert np.all(np.isfinite(a)) and abs(a[0, 1]) == 1e308
+    assert math.isfinite(trace(a)) and math.isfinite(trace_sq(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows double precision") as info:
+            closed_form(p, *coords)
+    assert info.value.__context__ is None and info.value.__cause__ is None
+
+
 @pytest.mark.parametrize(
     "p,coords,expected",
     [

@@ -48,9 +48,16 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from paralie.expengine import _SQUARE, _TERMS, _adjoint_entries, _square_terms, closed_form
+from paralie.expengine import (
+    _PLANS,
+    _SQUARE,
+    _TERMS,
+    _adjoint_entries,
+    _square_terms,
+    closed_form,
+)
 from paralie.levicivita import classify_manifold
-from paralie.lie import class_algebra
+from paralie.lie import adjoint_rep, class_algebra
 from paralie.mat3 import trace_sq
 from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams, standard_structure
 from reference import class_pattern
@@ -418,3 +425,29 @@ def test_square_is_single_products_in_f4_f9_f10():
             assert not nan.any() or np.isinf(a).any()
             got = np.where(nan, 0.0, np.array(square) + 0.0)
             assert got.tobytes() == np.where(nan, 0.0, want).tobytes(), (cid, alpha, coords)
+
+
+def test_plan_is_the_structural_pattern_of_a_and_its_square():
+    # closed_form evaluates exp(A) only on its plan's entries and leaves E
+    # elsewhere: the plan must be every entry where A or A @ A is nonzero
+    # for generic parameters and coordinates, and no other, and in F4, F9
+    # and F10 each planned pair must give A @ A at its entry, zero included
+    rng = np.random.default_rng(164)
+    assert set(_PLANS) == set(CLASS_IDS)
+    for cid, (factor, entries) in _PLANS.items():
+        if entries is None:  # F8: np.dot(A, A) on all nine
+            planned, pairs = list(range(9)), ()
+        elif factor is None:  # F4, F9, F10
+            planned, pairs = [n for n, _, _ in entries], entries
+        else:  # F1, F5, F11: no A^2
+            planned, pairs = list(entries), ()
+        nonzero = np.zeros(9, dtype=bool)
+        for alpha, beta, *coords in rng.choice([-1.0, 1.0], (50, 5)) * rng.uniform(0.5, 2.0, (50, 5)):
+            p = ClassParams(cid, alpha, beta)
+            v = _adjoint_entries(p, *coords)
+            a = adjoint_rep(class_algebra(p), *coords)
+            assert v == a.reshape(9).tolist()
+            square = (a @ a).reshape(9)
+            nonzero |= (a.reshape(9) != 0.0) | (square != 0.0)
+            assert [v[l] * v[r] for n, l, r in pairs] == [square[n] for n, _, _ in pairs], cid
+        assert planned == np.flatnonzero(nonzero).tolist(), cid
