@@ -19,7 +19,7 @@ import numpy as np
 from .expengine import closed_form
 from .levicivita import NotALieAlgebraError, classify_manifold
 from .lie import StructureConstants, class_algebra, jacobi_defect, structure_constants
-from .mat3 import expm_oracle, max_abs, trace, trace_sq
+from .mat3 import _positive_tol, expm_oracle, max_abs, trace, trace_sq
 from .structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams
 
 # Default verification grids: parameters for the families, frame coordinates
@@ -172,8 +172,8 @@ def _format_brackets(c) -> list[str]:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     p = ClassParams(args.class_id, args.alpha, args.beta)
-    c = structure_constants(class_algebra(p))
-    defect = jacobi_defect(c)
+    c = class_algebra(p)
+    defect = jacobi_defect(c)  # checks C: past double range, a ValueError
     if args.format == "json":
         print(render_json({"C": c, "jacobi_defect": defect}))
     else:
@@ -185,7 +185,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    report = classify_manifold(_read_constants(args.input), args.tol)
+    tol = _positive_tol(args.tol)  # first, so a bad tol is exit 2 on every input
+    report = classify_manifold(_read_constants(args.input), tol)
     if args.format == "json":
         print(render_json({
             "verdict": report.verdict,
@@ -246,24 +247,25 @@ def cmd_exp(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    tol = _positive_tol(args.tol)
     params, coords, rt = GRIDS[args.grid]
     exp_res = run_exp_grid(params, coords)
     rt_res = run_roundtrip_grid(rt)
     ok = True
     print("closed-form exponential vs series oracle")
     for cid in CLASS_IDS:
-        passed = exp_res[cid] <= args.tol
+        passed = exp_res[cid] <= tol
         ok &= passed
         print(f"  {cid:<4} max residual {exp_res[cid]:.3e}  {'pass' if passed else 'FAIL'}")
     print("classification round trip")
     for cid in CLASS_IDS:
-        passed = rt_res[cid] <= args.tol
+        passed = rt_res[cid] <= tol
         ok &= passed
         print(f"  {cid:<4} max error    {rt_res[cid]:.3e}  {'pass' if passed else 'FAIL'}")
     n_exp = sum(len(_grid_pairs(cid, params)) for cid in CLASS_IDS) * len(coords) ** 3
     print(
         f"overall: {'PASS' if ok else 'FAIL'} "
-        f"({n_exp} exponential instances, tol {args.tol:g}, grid {args.grid})"
+        f"({n_exp} exponential instances, tol {tol:g}, grid {args.grid})"
     )
     return 0 if ok else 1
 
@@ -305,13 +307,6 @@ def _coords(token: str) -> tuple[float, float, float]:
     return (a, b, c)
 
 
-def _tol(token: str) -> float:
-    tol = float(token)
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError("tol must be positive")
-    return tol
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paralie",
@@ -333,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="classify structure constants from JSON")
     sp.add_argument("input", nargs="?", default="-", help="path or - for stdin")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--tol", type=_tol, default=1e-12, help="verdict threshold")
+    sp.add_argument("--tol", type=float, default=1e-12, help="verdict threshold")
 
     sp = sub.add_parser("exp", help="closed-form exponential of a class element")
     sp.add_argument("--class", dest="class_id", type=str.upper, required=True)
@@ -345,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the verification grids")
     sp.add_argument("--grid", choices=GRIDS, default="full")
-    sp.add_argument("--tol", type=_tol, default=1e-12, help="pass threshold per class")
+    sp.add_argument("--tol", type=float, default=1e-12, help="pass threshold per class")
 
     sp = sub.add_parser("table", help="numeric per-class exponential table")
     sp.add_argument("--alpha", type=float, default=1.0)

@@ -27,28 +27,29 @@ floats, which never warn.
 
 Each call is nine numbers, so the scalar work runs on Python floats.  A's
 nine entries come straight from the coordinates and the class's bracket
-table (lie._ENTRIES): each nonzero C_ij^k subtracts x_i * C_ij^k from
-A[j][k], in i order, the products and sums lie.adjoint_rep forms on
-class_algebra's constants.  tr A, tr A^2, t, u and the label take those
-floats, in the order the numpy expressions used, and one np.array each
-makes A and exp(A).
+terms (lie._TERMS, the list class_algebra writes): each nonzero C_ij^k
+subtracts x_i * C_ij^k from A[j][k], in i order, the products and sums
+lie.adjoint_rep forms on class_algebra's constants.  tr A, tr A^2, t, u
+and the label take those floats, in the order the numpy expressions used,
+and one np.array each makes A and exp(A).
 
 exp(A) starts as E and is evaluated only where it can differ from E: on
-the class's plan (_PLANS), read off the bracket table at import, the
-entries where A or A^2 can be nonzero (three to six of the nine outside
-F8).  Each planned entry is E[n] + t*A[n] for F1, F5 and F11, which never
-form A^2, and E[n] + t*A[n] + u*A^2[n] for the cubic classes, checked for
-finiteness as it is formed.  Off the plan A[n] and A^2[n] are +0.0, t is
-finite and u finite and not negative, so E[n] + t*0.0 + u*0.0 is E[n] to
-the last bit (+0.0 plus -0.0 is +0.0) and needs no arithmetic.  In F4, F9
-and F10 every entry of A^2 is one product, A[l] * A[r] (_SQUARE, derived
-from the same terms), formed on the floats inside that entry's expression:
-a single product rounds the same whether or not BLAS fuses it with an add
-of zero.  Where A^2 is zero but A is not, the plan multiplies two entries
-of A that are always +0.0, the zero the formed square held there.  Only
-F8's A^2, whose diagonal sums two products, stays in numpy, on all nine
-entries: BLAS may fuse that sum in a way Python floats cannot repeat, and
-it is np.dot(A, A), the dgemm that A @ A runs, without the matmul ufunc's
+the class's plan (_PLANS), read off the same terms at import, the entries
+where A or A^2 can be nonzero (three to six of the nine outside F8).  Six
+classes share one loop: each planned entry is E[n] + t*A[n] + u*(A[l]*A[r]),
+checked for finiteness as it is formed.  In F4, F9 and F10 every entry of
+A^2 is one product, A[l] * A[r], formed on the floats inside that entry's
+expression: a single product rounds the same whether or not BLAS fuses it
+with an add of zero.  Where the loop needs no A^2 (F1, F5 and F11, with
+u = 0, and where A^2 is zero but A is not), l = r is an entry of A that is
+always +0.0: the term adds +0.0 to E[n] + t*A[n], which is never -0.0 as
+E[n] is +0.0 or 1.0, so the bits are those of E[n] + t*A[n], and no
+overflowed A^2 makes 0 * inf = NaN.  Off the plan A[n] and A^2[n] are
++0.0, t is finite and u finite and not negative, so E[n] + t*0.0 + u*0.0
+is E[n] to the last bit and needs no arithmetic.  Only F8's A^2, whose
+diagonal sums two products, stays in numpy, on all nine entries: BLAS may
+fuse that sum in a way Python floats cannot repeat, and it is
+np.dot(A, A), the dgemm that A @ A runs, without the matmul ufunc's
 overhead.
 """
 
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import _ENTRIES, _coordinates, _values
+from .lie import _TERMS, _coordinates, _values
 from .mat3 import Mat3, _trace_sq
 from .structure import CLASS_IDS, ClassParams
 
@@ -69,46 +70,26 @@ _TRACE_FACTOR = {"F1": 1.0, "F5": 0.5, "F11": 1.0}
 
 _E = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the identity's entries in row order
 
-# Per class, the terms of A[j][k] = -(a C_0jk + b C_1jk + c C_2jk): (i, n, m)
-# for each nonzero C_ij^k of the bracket table, with n = 3j + k and m the
-# index of its value in lie._values, sorted so that each entry takes its
-# terms in i order
-_TERMS = {
-    cid: sorted(zip((flat // 9).tolist(), (flat % 9).tolist(), pick.tolist()))
-    for cid, (flat, pick) in _ENTRIES.items()
-}
-
-
-def _square_terms(terms: list) -> list | None:
-    """A^2 over A's nonzero pattern in terms: (n, l, r) for each entry
-    A^2[n] = A[l] * A[r], or None where an entry sums two products."""
-    nonzero = sorted({n for _, n, _ in terms})
-    products = [(l - l % 3 + r % 3, l, r) for l in nonzero for r in nonzero if l % 3 == r // 3]
-    entries = [n for n, _, _ in products]
-    return products if len(set(entries)) == len(entries) else None
-
-
-# Per cubic class, its A^2 as single products, or None (F8) for np.dot(A, A)
-_SQUARE = {cid: _square_terms(_TERMS[cid]) for cid in CLASS_IDS if cid not in _TRACE_FACTOR}
-
 
 def _plan(cid: str) -> tuple:
     """closed_form's plan for class cid: (factor, entries).
 
     factor is _TRACE_FACTOR's, or None for the cubic classes.  entries are
-    the flat indices n, sorted, where A (quadratic classes) or A or A^2
-    (F4, F9, F10) is structurally nonzero, the latter each as (n, l, r)
-    with A^2[n] = A[l] * A[r]; where A^2[n] is zero, l = r is an entry of A
-    that is always +0.0.  F8's entries are None: all nine, with np.dot(A, A).
+    (n, l, r), sorted by the flat index n, for every n where A or A^2 is
+    structurally nonzero, with A^2[n] = A[l] * A[r] in F4, F9 and F10.
+    Where closed_form needs no A^2 there (F1, F5, F11, and where A^2 is
+    zero), l = r is an entry of A that is always +0.0.  F8, whose A^2
+    diagonal sums two products, gets None: all nine, with np.dot(A, A).
     """
     nonzero = sorted({n for _, n, _ in _TERMS[cid]})
-    if cid in _TRACE_FACTOR:
-        return _TRACE_FACTOR[cid], tuple(nonzero)
-    if _SQUARE[cid] is None:
-        return None, None
     zero = min(set(range(9)).difference(nonzero))
-    pairs = {n: (l, r) for n, l, r in _SQUARE[cid]}
-    return None, tuple((n, *pairs.get(n, (zero, zero))) for n in sorted(pairs.keys() | nonzero))
+    products = [] if cid in _TRACE_FACTOR else [
+        (l - l % 3 + r % 3, l, r) for l in nonzero for r in nonzero if l % 3 == r // 3]
+    pairs = {n: (l, r) for n, l, r in products}
+    if len(pairs) < len(products):  # an entry of A^2 sums two products
+        return None, None
+    return _TRACE_FACTOR.get(cid), tuple(
+        (n, *pairs.get(n, (zero, zero))) for n in sorted(pairs.keys() | set(nonzero)))
 
 
 _PLANS = {cid: _plan(cid) for cid in CLASS_IDS}
@@ -183,13 +164,8 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
         if factor is not None:
             k = factor * _finite(v[0] + v[4] + v[8])  # tr A
             t = math.expm1(k) / k if k else 1.0
-            u = 0.0
+            u = 0.0  # no A^2, which overflows long before E + t*A does
             branch = "generic" if k else "trace_zero"
-            # u = 0 needs no A^2, which overflows long before E + t*A does
-            for n in entries:
-                e[n] = x = e[n] + t * v[n]
-                if not math.isfinite(x):
-                    raise OverflowError
         else:
             z = 0.5 * _finite(_trace_sq(v))
             t, u = _cubic(z)
@@ -197,17 +173,19 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
             # of it for F8, otherwise the a*E0 block (rows and columns 1, 2)
             # that carries tr A^2
             if entries is None:
-                sq = np.dot(A, A).reshape(9).tolist()
                 branch = "generic" if z or any(v) else "zero_matrix"
-                e = [d + t * x + u * y for d, x, y in zip(_E, v, sq)]
-                if not all(map(math.isfinite, e)):
-                    raise OverflowError
             else:
                 branch = "generic" if z or v[4] or v[5] or v[7] or v[8] else "trA2_zero"
-                for n, l, r in entries:
-                    e[n] = x = e[n] + t * v[n] + u * (v[l] * v[r])
-                    if not math.isfinite(x):
-                        raise OverflowError
+        if entries is None:
+            sq = np.dot(A, A).reshape(9).tolist()
+            e = [d + t * x + u * y for d, x, y in zip(_E, v, sq)]
+            if not all(map(math.isfinite, e)):
+                raise OverflowError
+        else:
+            for n, l, r in entries:
+                e[n] = x = e[n] + t * v[n] + u * (v[l] * v[r])
+                if not math.isfinite(x):
+                    raise OverflowError
     except OverflowError:  # math.expm1/sinh, a trace, or exp(A) past double range
         e = None
     if e is None:

@@ -17,6 +17,8 @@ unit parameters, so the bracket table is the one per-class table.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .lie import StructureConstants, _flat, _jacobi, _validated, class_algebra
@@ -86,8 +88,18 @@ def _koszul(c: np.ndarray) -> np.ndarray:
 
 
 def _nabla_phi(gamma: np.ndarray) -> np.ndarray:
-    """F[i] = phi Gamma[i] - Gamma[i] phi, on (..., 3, 3, 3) arrays."""
-    return _PHI @ gamma - gamma @ _PHI
+    """F[i] = phi Gamma[i] - Gamma[i] phi, on (..., 3, 3, 3) arrays.
+
+    phi's entries are 0 and 1, so for finite Gamma both products are exact
+    and only their difference rounds.  It is taken on Python floats, which
+    round as numpy does and never warn: an F past double range is a
+    ValueError, without a numpy warning.
+    """
+    x, y = (_PHI @ gamma).ravel().tolist(), (gamma @ _PHI).ravel().tolist()
+    f = [p - q for p, q in zip(x, y)]
+    if not all(map(math.isfinite, f)):
+        raise ValueError("F tensor overflows double precision at these constants")
+    return np.array(f).reshape(gamma.shape)
 
 
 def f_tensor(c: StructureConstants) -> FTensor:
@@ -95,8 +107,8 @@ def f_tensor(c: StructureConstants) -> FTensor:
 
     phi is that of the standard structure on the orthonormal frame.  C is
     checked as in connection_coeffs.  |F| is at most 3 max|C|, so for
-    max|C| > 2**1024 / 3 a component can overflow to inf, with a numpy
-    overflow warning.
+    max|C| > 2**1024 / 3 a component can pass double range: that is a
+    ValueError, as in closed_form.
     """
     return _nabla_phi(connection_coeffs(c))
 

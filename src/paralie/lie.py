@@ -72,20 +72,13 @@ def _wrong_size(v: list) -> ValueError:
     return ValueError(f"structure constants must have 3 x 3 x 3 = 27 entries, not {len(v)}")
 
 
-def _entries(brackets) -> tuple[np.ndarray, np.ndarray]:
-    # flat index of each nonzero C[i][j][k] and of its mirror C[j][i][k],
-    # and which of _values' entries each one takes
-    flat = [_flat(i, j, k) for i, j, k, _ in brackets]
-    flat += [_flat(j, i, k) for i, j, k, _ in brackets]
-    pick = [v for *_, v in brackets] + [v ^ 1 for *_, v in brackets]
-    return np.array(flat, dtype=np.intp), np.array(pick, dtype=np.intp)
-
-
-# Per class, its brackets as (i, j, k, v): C_ij^k is entry v of _values,
-# (alpha, -alpha, 2 alpha, -2 alpha, beta, -beta), read off the table above;
-# the mirror C_ji^k takes entry v ^ 1, its negative.
-_ENTRIES = {
-    cid: _entries(brackets)
+# Per class, the terms (i, n, m) of its nonzero constants C[i][j][k], flat
+# index 9i + n with n = 3j + k, each the value m of _values, sorted.  They
+# are read off the table above as brackets (i, j, k, v), C_ij^k = value v,
+# each with its mirror C_ji^k = value v ^ 1, its negative.
+_TERMS = {
+    cid: sorted([(i, 3 * j + k, v) for i, j, k, v in brackets]
+                + [(j, 3 * i + k, v ^ 1) for i, j, k, v in brackets])
     for cid, brackets in {
         "F0": [],
         "F1": [(1, 2, 1, 0), (1, 2, 2, 4)],
@@ -100,18 +93,20 @@ _ENTRIES = {
 
 
 def _values(p: ClassParams) -> tuple:
-    # the values v of _ENTRIES; the products are Python floats, so 2*alpha
-    # past double range is inf without a numpy warning
+    # the values m of _TERMS, (alpha, -alpha, 2 alpha, -2 alpha, beta, -beta);
+    # the products are Python floats, so 2*alpha past double range is inf
+    # without a numpy warning
     al, bt = p.alpha, p.beta
     return al, -al, 2.0 * al, -2.0 * al, bt, -bt
 
 
 def class_algebra(p: ClassParams) -> StructureConstants:
     """Structure constants of the family labelled by p (F0 gives zeros)."""
-    flat, pick = _ENTRIES[p.class_id]
-    c = np.zeros(27)
-    c[flat] = np.array(_values(p))[pick]
-    return c.reshape(3, 3, 3)
+    w = _values(p)
+    c = [0.0] * 27
+    for i, n, m in _TERMS[p.class_id]:
+        c[9 * i + n] = w[m]
+    return np.array(c).reshape(3, 3, 3)
 
 
 def jacobi_defect(c: StructureConstants) -> float:

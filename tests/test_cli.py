@@ -277,19 +277,27 @@ def test_verify_rejects_nonpositive_tol(capsys):
 
 
 def test_verify_rejects_nan_tol(capsys):
-    for tol in ("nan", "inf"):
+    for tol in ("nan", "inf", "0"):
         code, out, err = run_cli(capsys, "verify", "--grid", "small", "--tol", tol)
         assert code == 2
         assert "tol must be positive" in err and "overall" not in out
 
 
 def test_classify_rejects_nan_tol(tmp_path, capsys):
+    # tol is read first: with a bad tol, constants that fail the Jacobi
+    # identity are exit 2 too, not 3
     path = tmp_path / "f8.json"
     path.write_text(json.dumps({"class": "f8", "alpha": 1.0}), encoding="utf-8")
-    for tol in ("nan", "inf"):
-        code, out, err = run_cli(capsys, "classify", str(path), "--tol", tol)
-        assert code == 2
-        assert "tol must be positive" in err and "verdict" not in out
+    non_lie = tmp_path / "non_lie.json"
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 1], c[1, 0, 1], c[1, 2, 0], c[2, 1, 0] = 1.0, -1.0, 1.0, -1.0
+    non_lie.write_text(json.dumps({"C": c.tolist()}), encoding="utf-8")
+    assert run_cli(capsys, "classify", str(non_lie))[0] == 3
+    for tol in ("nan", "inf", "0", "-1"):
+        for p in (path, non_lie):
+            code, out, err = run_cli(capsys, "classify", str(p), "--tol", tol)
+            assert code == 2
+            assert "tol must be positive" in err and "verdict" not in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -183,9 +183,12 @@ def test_connection_finite_where_the_unhalved_sums_overflowed():
     for i, j, k in itertools.product(range(3), repeat=3):
         terms = (x[9 * i + 3 * j + k] / 2, -x[9 * i + 3 * k + j] / 2, -x[9 * j + 3 * k + i] / 2)
         assert abs(Fraction(gamma[i, j, k]) - sum(terms)) <= gamma_2 * sum(map(abs, terms))
-    # |F| reaches 3 max|C|, past double range here: f_tensor's documented limit
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert np.isinf(f_tensor(c)).any()
+    # |F| reaches 3 max|C|, past double range here: a ValueError, as in
+    # closed_form, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows double precision"):
+            f_tensor(c)
 
 
 # --- derived tensor ----------------------------------------------------------

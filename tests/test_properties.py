@@ -48,16 +48,9 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from paralie.expengine import (
-    _PLANS,
-    _SQUARE,
-    _TERMS,
-    _adjoint_entries,
-    _square_terms,
-    closed_form,
-)
+from paralie.expengine import _PLANS, _adjoint_entries, _plan, closed_form
 from paralie.levicivita import classify_manifold
-from paralie.lie import adjoint_rep, class_algebra
+from paralie.lie import _TERMS, adjoint_rep, class_algebra
 from paralie.mat3 import trace_sq
 from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams, standard_structure
 from reference import class_pattern
@@ -399,15 +392,16 @@ def test_square_is_single_products_in_f4_f9_f10():
     # product, derived from A's nonzero pattern: one product rounds the same
     # whether BLAS fuses it with an add of zero or not.  F8's diagonal sums
     # two products, so F8 keeps A @ A.
-    assert {cid for cid, products in _SQUARE.items() if products} == {"F4", "F9", "F10"}
-    assert set(_SQUARE) == {"F4", "F8", "F9", "F10"} and _SQUARE["F8"] is None
-    for cid, products in _SQUARE.items():
-        if products:
-            entries = [n for n, _, _ in products]
-            assert len(entries) == len(set(entries)), cid
+    cubic = {cid: entries for cid, (factor, entries) in _PLANS.items() if factor is None}
+    assert {cid for cid, entries in cubic.items() if entries} == {"F4", "F9", "F10"}
+    assert set(cubic) == {"F4", "F8", "F9", "F10"} and cubic["F8"] is None
+    for cid, entries in cubic.items():
+        if entries:
+            planned = [n for n, _, _ in entries]
+            assert len(planned) == len(set(planned)), cid
     f8 = {n for _, n, _ in _TERMS["F8"]}
     assert sum(l in f8 and r in f8 for l, r in ((1, 3), (2, 6))) == 2  # A^2[0][0]
-    assert _square_terms(_TERMS["F8"]) is None
+    assert _plan("F8") == (None, None)
     # the products are A @ A on every entry, zeros included
     rng = np.random.default_rng(163)
     for cid in ("F4", "F9", "F10"):
@@ -415,7 +409,7 @@ def test_square_is_single_products_in_f4_f9_f10():
             v = _adjoint_entries(ClassParams(cid, alpha), *coords)
             a = np.array(v).reshape(3, 3)
             square = [0.0] * 9
-            for n, l, r in _SQUARE[cid]:
+            for n, l, r in cubic[cid]:
                 square[n] = v[l] * v[r]
             with np.errstate(over="ignore", invalid="ignore"):
                 want = (a @ a).reshape(9) + 0.0
@@ -430,17 +424,19 @@ def test_square_is_single_products_in_f4_f9_f10():
 def test_plan_is_the_structural_pattern_of_a_and_its_square():
     # closed_form evaluates exp(A) only on its plan's entries and leaves E
     # elsewhere: the plan must be every entry where A or A @ A is nonzero
-    # for generic parameters and coordinates, and no other, and in F4, F9
-    # and F10 each planned pair must give A @ A at its entry, zero included
+    # for generic parameters and coordinates, and no other.  In F4, F9 and
+    # F10 each planned pair must give A @ A at its entry, zero included;
+    # in F1, F5 and F11, where u = 0, each pair must read entries of A that
+    # are +0.0, so that u * (A[l] * A[r]) adds +0.0 and reads no A^2
     rng = np.random.default_rng(164)
     assert set(_PLANS) == set(CLASS_IDS)
     for cid, (factor, entries) in _PLANS.items():
         if entries is None:  # F8: np.dot(A, A) on all nine
-            planned, pairs = list(range(9)), ()
+            planned, pairs, zeros = list(range(9)), (), ()
         elif factor is None:  # F4, F9, F10
-            planned, pairs = [n for n, _, _ in entries], entries
+            planned, pairs, zeros = [n for n, _, _ in entries], entries, ()
         else:  # F1, F5, F11: no A^2
-            planned, pairs = list(entries), ()
+            planned, pairs, zeros = [n for n, _, _ in entries], (), entries
         nonzero = np.zeros(9, dtype=bool)
         for alpha, beta, *coords in rng.choice([-1.0, 1.0], (50, 5)) * rng.uniform(0.5, 2.0, (50, 5)):
             p = ClassParams(cid, alpha, beta)
@@ -450,4 +446,6 @@ def test_plan_is_the_structural_pattern_of_a_and_its_square():
             square = (a @ a).reshape(9)
             nonzero |= (a.reshape(9) != 0.0) | (square != 0.0)
             assert [v[l] * v[r] for n, l, r in pairs] == [square[n] for n, _, _ in pairs], cid
+            read = [v[i] for _, l, r in zeros for i in (l, r)]
+            assert np.array(read).tobytes() == bytes(8 * len(read)), cid  # +0.0 only
         assert planned == np.flatnonzero(nonzero).tolist(), cid
