@@ -155,15 +155,10 @@ def format_matrix(m, indent: str = "  ") -> str:
 
 
 def _format_brackets(c) -> list[str]:
-    names = ("E0", "E1", "E2")
     lines = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            terms = [
-                f"{c[i, j, k]:+g} {names[k]}" for k in range(3) if c[i, j, k] != 0.0
-            ]
-            rhs = " ".join(terms) if terms else "0"
-            lines.append(f"[{names[i]},{names[j]}] = {rhs}")
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        terms = [f"{c[i, j, k]:+g} E{k}" for k in range(3) if c[i, j, k] != 0.0]
+        lines.append(f"[E{i},E{j}] = {' '.join(terms) if terms else '0'}")
     return lines
 
 
@@ -252,16 +247,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     exp_res = run_exp_grid(params, coords)
     rt_res = run_roundtrip_grid(rt)
     ok = True
-    print("closed-form exponential vs series oracle")
-    for cid in CLASS_IDS:
-        passed = exp_res[cid] <= tol
-        ok &= passed
-        print(f"  {cid:<4} max residual {exp_res[cid]:.3e}  {'pass' if passed else 'FAIL'}")
-    print("classification round trip")
-    for cid in CLASS_IDS:
-        passed = rt_res[cid] <= tol
-        ok &= passed
-        print(f"  {cid:<4} max error    {rt_res[cid]:.3e}  {'pass' if passed else 'FAIL'}")
+    sections = (("closed-form exponential vs series oracle", "max residual", exp_res),
+                ("classification round trip", "max error   ", rt_res))
+    for title, label, worst in sections:
+        print(title)
+        for cid in CLASS_IDS:
+            passed = worst[cid] <= tol
+            ok &= passed
+            print(f"  {cid:<4} {label} {worst[cid]:.3e}  {'pass' if passed else 'FAIL'}")
     n_exp = sum(len(_grid_pairs(cid, params)) for cid in CLASS_IDS) * len(coords) ** 3
     print(
         f"overall: {'PASS' if ok else 'FAIL'} "
@@ -320,17 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("construct", help="structure constants of a class algebra")
+    sp.set_defaults(run=cmd_construct)
     sp.add_argument("--class", dest="class_id", type=str.upper, required=True)
     sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("classify", help="classify structure constants from JSON")
+    sp.set_defaults(run=cmd_classify)
     sp.add_argument("input", nargs="?", default="-", help="path or - for stdin")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--tol", type=float, default=1e-12, help="verdict threshold")
 
     sp = sub.add_parser("exp", help="closed-form exponential of a class element")
+    sp.set_defaults(run=cmd_exp)
     sp.add_argument("--class", dest="class_id", type=str.upper, required=True)
     sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--beta", type=float, default=0.0)
@@ -339,25 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("verify", help="run the verification grids")
+    sp.set_defaults(run=cmd_verify)
     sp.add_argument("--grid", choices=GRIDS, default="full")
     sp.add_argument("--tol", type=float, default=1e-12, help="pass threshold per class")
 
     sp = sub.add_parser("table", help="numeric per-class exponential table")
+    sp.set_defaults(run=cmd_table)
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--coords", type=_coords, default=(1.0, 1.0, 1.0))
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
-
-
-_DISPATCH = {
-    "construct": cmd_construct,
-    "classify": cmd_classify,
-    "exp": cmd_exp,
-    "verify": cmd_verify,
-    "table": cmd_table,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -367,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except NotALieAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

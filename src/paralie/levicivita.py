@@ -10,9 +10,9 @@ and nabla phi, for the phi of the standard structure, is one commutator per
 frame vector, F[i] = phi Gamma[i] - Gamma[i] phi: algebra -> connection ->
 tensor -> class and parameters.  Every step is linear, so classification
 applies the composite once: a fixed (23, 9) matrix on the nine independent
-constants, which the validation gate holds as Python floats, evaluated as
-23 straight-line sums.  Its class patterns are F of lie.class_algebra at
-unit parameters, so the bracket table is the one per-class table.
+constants, which the validation gate holds as Python floats, applied as 23
+generated straight-line sums.  Its class patterns are F of lie.class_algebra
+at unit parameters, so the bracket table is the one per-class table.
 """
 
 from __future__ import annotations
@@ -124,8 +124,7 @@ def f_tensor(c: StructureConstants) -> FTensor:
 # recovered exactly, and each row's L1 norm is at most 2, so below
 # max|C| = 2**1023 nothing overflows.  The patterns span every F that an
 # algebra induces, so nothing is left over.  classify_manifold applies the
-# map as _recover's sums; the matrix is their definition, which the tests
-# hold them to.
+# map as straight-line sums generated from it (_RECOVER_SOURCE).
 _INDEP = np.flatnonzero(_I < _J)
 
 
@@ -144,33 +143,32 @@ def _fused_map() -> np.ndarray:
 _CLASSIFY = _fused_map()
 
 
-def _recover(pqr: list) -> tuple[list, LeeForms]:
-    """_CLASSIFY applied to P, Q, R as straight-line sums on Python floats:
-    the 14 class parameters and the Lee forms.
+_PQR = ("p0", "p1", "p2", "q0", "q1", "q2", "r0", "r1", "r2")
+# Row 10 (F10's alpha), the one row with three terms, sums them in the order
+# of the matvec on x86-64 OpenBLAS; a two-term sum is the same either way.
+_SUM_ORDER = {10: ("p2", "r0", "q1")}
 
-    Each row keeps its nonzero terms only, so a product by +-1/2, +-1 or +-2
-    is exact (outside the subnormal range) and a row rounds once per sum,
-    as the matvec _CLASSIFY @ pqr does.  Row 10 (F10's alpha), the one
-    with three terms, sums them in the order (P2, R0, Q1) of the matvec on
-    x86-64 OpenBLAS; + 0.0 clears negative zeros.
-    """
-    p0, p1, p2, q0, q1, q2, r0, r1, r2 = pqr
-    p1h, p2h, q1h, q2h, r0h = 0.5 * p1, 0.5 * p2, 0.5 * q1, 0.5 * q2, 0.5 * r0
+
+def _sum(n: int, row: dict) -> str:
+    """Row n of _CLASSIFY ({variable: coefficient}) as a line of Python: the
+    nonzero terms, exact outside the subnormals, and + 0.0 to clear -0.0."""
+    terms = [x if row[x] == 1.0 else f"{row[x]!r} * {x}"
+             for x in _SUM_ORDER.get(n, _PQR) if row[x]]
+    return f"        {' + '.join(terms + ['0.0']) if terms else '0.0'},\n"
+
+
+# classify_manifold's sums, generated and compiled once, as dataclasses does
+# its methods; the text is kept for reading.
+_ROWS = [_sum(n, dict(zip(_PQR, row))) for n, row in enumerate(_CLASSIFY.tolist())]
+_RECOVER_SOURCE = f"""def _recover(pqr):
+    {", ".join(_PQR)} = pqr
     coef = [
-        r1 + 0.0, r2 + 0.0,  # F1
-        p2h + q1h + 0.0, 0.0,  # F4
-        p1h + q2h + 0.0, 0.0,  # F5
-        r0h + 0.0, 0.0,  # F8
-        p1h - q2h + 0.0, 0.0,  # F9
-        (r0h - p2h) + q1h + 0.0, 0.0,  # F10
-        p0 + 0.0, q0 + 0.0,  # F11
-    ]
+{"".join(_ROWS[:14])}    ]
     lee = np.array((
-        p2 + q1 + 0.0, 2.0 * r1 + 0.0, -2.0 * r2 + 0.0,  # theta
-        p1 + q2 + 0.0, 2.0 * r2 + 0.0, -2.0 * r1 + 0.0,  # theta*
-        0.0, q0 + 0.0, p0 + 0.0,  # omega
-    ))
+{"".join(_ROWS[14:])}    ))
     return coef, LeeForms(lee[:3], lee[3:6], lee[6:])
+"""
+exec(compile(_RECOVER_SOURCE, "<_RECOVER_SOURCE>", "exec"), globals())  # defines _recover
 
 
 def classify_manifold(c: StructureConstants, tol: float = 1e-12) -> ClassReport:

@@ -176,11 +176,13 @@ def adjoint_rep(c: StructureConstants, a: float, b: float, co: float) -> Mat3:
     what float() refuses, and a coordinate that is not finite, is a
     ValueError.  C is then checked as structure_constants checks it, except
     that an inf mirrored by -inf passes, as class_algebra gives it past
-    double range: A is C's entries times the coordinates, inf included.
+    double range: A is C's entries times the coordinates, inf included, and
+    NaN for 0 * inf, without a numpy warning.
     """
     x0, x1, x2 = _coordinates(a, b, co)
     flat = _real(c, "structure constants").ravel()
     _antisymmetric(flat.tolist())
     # one (3,) @ (3, 9) product on the negated coordinates, exactly the
     # negated product; + 0.0 clears negative zeros
-    return (np.array((-x0, -x1, -x2)) @ flat.reshape(3, 9)).reshape(3, 3) + 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.array((-x0, -x1, -x2)) @ flat.reshape(3, 9)).reshape(3, 3) + 0.0

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mat3 import Mat3, Vec3, _positive_tol, max_abs, trace
+from .mat3 import Mat3, Vec3, _positive_tol, _real, max_abs, trace
 
 CLASS_IDS = ("F1", "F4", "F5", "F8", "F9", "F10", "F11")
 TWO_PARAMETER_CLASSES = ("F1", "F11")
@@ -64,16 +64,26 @@ def check_structure(s: PhiBasisStructure) -> dict[str, float]:
 
     Checked: phi^2 = I - eta (x) xi, eta(xi) = 1, eta o phi = 0,
     phi xi = 0, tr phi = 0, and g(phi x, phi y) = g(x, y) - eta(x) eta(y).
+    Each field is read by mat3._real and must be finite, phi and g 3x3 and
+    xi and eta 3-vectors; a residual past double range is a ValueError too.
     """
-    phi, xi, eta, g = s.phi, s.xi, s.eta, s.g
-    return {
-        "phi_squared": max_abs(phi @ phi - (np.eye(3) - np.outer(xi, eta))),
-        "eta_of_xi": abs(float(eta @ xi) - 1.0),
-        "eta_circ_phi": max_abs(eta @ phi),
-        "phi_of_xi": max_abs(phi @ xi),
-        "trace_phi": abs(trace(phi)),
-        "metric_compat": max_abs(phi.T @ g @ phi - g + np.outer(eta, eta)),
-    }
+    fields = {k: _real(getattr(s, k), k) for k in ("phi", "xi", "eta", "g")}
+    for (k, a), shape in zip(fields.items(), ((3, 3), (3,), (3,), (3, 3))):
+        if a.shape != shape or not np.all(np.isfinite(a)):
+            raise ValueError(f"{k} must be finite, of shape {shape}")
+    phi, xi, eta, g = fields.values()
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = {
+            "phi_squared": max_abs(phi @ phi - (np.eye(3) - np.outer(xi, eta))),
+            "eta_of_xi": abs(float(eta @ xi) - 1.0),
+            "eta_circ_phi": max_abs(eta @ phi),
+            "phi_of_xi": max_abs(phi @ xi),
+            "trace_phi": abs(trace(phi)),
+            "metric_compat": max_abs(phi.T @ g @ phi - g + np.outer(eta, eta)),
+        }
+    if not all(map(math.isfinite, residuals.values())):
+        raise ValueError("a structure residual overflows double precision")
+    return residuals
 
 
 @dataclass(eq=False)
@@ -155,9 +165,9 @@ class ClassReport:
     params: dict[str, tuple[float, float]] = field(default_factory=dict)
 
 
-# The pair of every class recovered as exactly zero.  _recover's + 0.0 makes
-# each zero positive, so sharing one immutable tuple keeps the bits and
-# leaves a report fewer objects for the cyclic garbage collector to track.
+# The pair of every class recovered as exactly zero.  levicivita's generated
+# sums end in + 0.0, which makes each zero positive, so sharing one tuple
+# keeps the bits and leaves the cyclic garbage collector fewer objects.
 _ZERO_PAIR = (0.0, 0.0)
 
 

@@ -124,12 +124,24 @@ def test_random_antisymmetric_constants_match_the_reference(monkeypatch):
 
 # --- the straight-line map ------------------------------------------------------
 #
-# classify_manifold applies _CLASSIFY as straight-line sums on Python floats
-# (levicivita._recover), the nonzero terms of each row in the order the
-# matvec sums them, so that the values are the matvec's byte for byte
-# (tests/test_bit_identity.py).  That rests on two facts checked here: the
-# sums are _CLASSIFY's rows, and outside the subnormal range every product
-# by +-1/2, +-1 or +-2 is exact, so each row rounds only in its sums.
+# classify_manifold applies _CLASSIFY as straight-line sums on Python floats,
+# generated from it at import (levicivita._RECOVER_SOURCE): the nonzero terms
+# of each row in the order the matvec sums them, so that the values are the
+# matvec's byte for byte (tests/test_bit_identity.py).  That rests on three
+# facts checked here: the sums are _CLASSIFY's rows; outside the subnormal
+# range every product by +-1/2, +-1 or +-2 is exact, so each row rounds only
+# in its sums; and every row whose order matters has its order stated.
+
+
+def test_rows_of_three_or_more_terms_are_the_rows_with_a_stated_order():
+    # the generator sums a row's terms in column order unless _SUM_ORDER
+    # states another; a sum of one or two terms is the same in any order, so
+    # a row of three or more needs the matvec's order stated, and a change to
+    # the bracket table that adds such a row fails here by name
+    nonzero = [np.flatnonzero(row).tolist() for row in _CLASSIFY]
+    assert {n for n, cols in enumerate(nonzero) if len(cols) >= 3} == set(levicivita._SUM_ORDER)
+    for n, order in levicivita._SUM_ORDER.items():
+        assert sorted(levicivita._PQR.index(x) for x in order) == nonzero[n], n
 
 
 def test_straight_line_map_is_the_map_on_unit_constants():

@@ -1,6 +1,6 @@
 """The API's error contract: what closed_form, classify_manifold,
-expm_oracle, adjoint_rep and jacobi_defect refuse, they refuse with a
-ValueError.
+expm_oracle, adjoint_rep, jacobi_defect and check_structure refuse, they
+refuse with a ValueError.
 
 Coordinates and tol are converted once with float(), as ClassParams
 converts alpha and beta, so what float() accepts (a numpy scalar, an int in
@@ -10,6 +10,7 @@ TypeError or OverflowError.  Complex input is refused the same way, rather
 than read as its real part with numpy's ComplexWarning.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -20,7 +21,13 @@ from paralie.expengine import closed_form
 from paralie.levicivita import classify_manifold, connection_coeffs, f_tensor
 from paralie.lie import adjoint_rep, class_algebra, jacobi_defect, structure_constants
 from paralie.mat3 import expm_oracle
-from paralie.structure import CLASS_IDS, ClassParams
+from paralie.structure import (
+    CLASS_IDS,
+    ClassParams,
+    PhiBasisStructure,
+    check_structure,
+    standard_structure,
+)
 
 NOT_FLOATS = (None, [1.0], "one", 10**400, -(10**400), object())
 
@@ -211,6 +218,67 @@ def test_adjoint_rep_checks_the_constants():
     with np.errstate(over="ignore", invalid="ignore"):
         a = adjoint_rep(class_algebra(ClassParams("F8", 1e308)), 0.0, 1.0, 0.0)
     assert a[2, 0] == -math.inf
+
+
+@pytest.mark.parametrize("coords, inf, nan", [
+    ((1e10, 1.0, 0.0), {(0, 2): 1e308, (1, 2): -math.inf, (2, 0): -math.inf, (2, 1): math.inf},
+     [(1, 0)]),
+    ((0.0, 1.0, 0.0), {(0, 2): 1e308, (2, 0): -math.inf}, [(1, 0)]),
+])
+def test_adjoint_rep_past_double_range_without_a_numpy_warning(coords, inf, nan):
+    # 2 alpha is inf here: A's entries past double range are inf, and NaN
+    # where 0 * inf enters a sum, as the docstring states, with no warning
+    c = class_algebra(ClassParams("F8", 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = adjoint_rep(c, *coords)
+    want = np.zeros((3, 3))
+    for jk, value in inf.items():
+        want[jk] = value
+    for jk in nan:
+        want[jk] = math.nan
+    assert np.array_equal(a, want, equal_nan=True)
+
+
+def test_check_structure_reads_its_fields_as_arrays():
+    # nested lists are read as the arrays they spell, not refused with a
+    # TypeError from the @ operator
+    s = standard_structure()
+    listed = PhiBasisStructure(s.phi.tolist(), s.xi.tolist(), s.eta.tolist(), s.g.tolist())
+    assert check_structure(listed) == check_structure(s)
+    phi = PhiBasisStructure([[0, 0, 0], [0, 0, 1], [0, 1, 0]], s.xi, s.eta, s.g)
+    assert max(check_structure(phi).values()) == 0.0
+
+
+def test_check_structure_refuses_fields_it_cannot_check():
+    s = standard_structure()
+    cases = (
+        ("phi", None, "phi must be real numbers"),
+        ("g", 1j * s.g, "g must be real numbers"),
+        ("xi", ["one", 0, 0], "xi must be real numbers"),
+        ("xi", s.xi[:2], r"xi must be finite, of shape \(3,\)"),
+        ("phi", np.eye(2), r"phi must be finite, of shape \(3, 3\)"),
+        ("g", np.eye(3).ravel(), r"g must be finite, of shape \(3, 3\)"),
+        ("eta", [math.nan, 0.0, 0.0], "eta must be finite"),
+        ("phi", np.diag([math.inf, 0.0, 0.0]), "phi must be finite"),
+    )
+    for field, value, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                check_structure(dataclasses.replace(s, **{field: value}))
+
+
+def test_check_structure_past_double_range_is_a_value_error():
+    # phi^2, or eta (x) eta, past double range: a ValueError, not numpy's
+    # overflow warning or an inf residual
+    s = standard_structure()
+    for big in (PhiBasisStructure(1e200 * s.phi, s.xi, s.eta, s.g),
+                PhiBasisStructure(s.phi, s.xi, 1e200 * s.eta, s.g)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows double precision"):
+                check_structure(big)
 
 
 def test_jacobi_defect_checks_the_constants():
