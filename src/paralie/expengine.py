@@ -25,38 +25,51 @@ product therefore sets no overflow or invalid flag and runs with numpy's
 error handling as the caller set it.  F4, F9 and F10 square A on Python
 floats, which never warn.
 
-Each call is nine numbers, so the scalar work runs on Python floats.  A's
-nine entries come straight from the coordinates and the class's bracket
-terms (lie._TERMS, the list class_algebra writes): each nonzero C_ij^k
-subtracts x_i * C_ij^k from A[j][k], in i order, the products and sums
-lie.adjoint_rep forms on class_algebra's constants.  tr A, tr A^2, t, u
-and the label take those floats, in the order the numpy expressions used,
-and one np.array each makes A and exp(A).
+Each call is nine numbers, so it runs on Python floats, in one straight-line
+function per class, its kernel.  The seven kernels are generated at import
+from the class's bracket terms (lie._TERMS, the list class_algebra writes)
+and its plan (_PLANS), and compiled from one source string kept for
+reading, _EXP_SOURCE, as levicivita does with its sums.  A kernel
 
-exp(A) starts as E and is evaluated only where it can differ from E: on
-the class's plan (_PLANS), read off the same terms at import, the entries
-where A or A^2 can be nonzero (three to six of the nine outside F8).  Six
-classes share one loop: each planned entry is E[n] + t*A[n] + u*(A[l]*A[r]),
-checked for finiteness as it is formed.  In F4, F9 and F10 every entry of
-A^2 is one product, A[l] * A[r], formed on the floats inside that entry's
+  * reads the coordinates with lie._coordinates;
+  * forms A's structurally nonzero entries as named floats: each nonzero
+    C_ij^k subtracts x_i * C_ij^k from A[j][k], in i order, the products
+    and sums lie.adjoint_rep forms on class_algebra's constants;
+  * forms tr A, or tr A^2 in mat3._trace_sq's order, on those names, with
+    the products of a structural zero left out, and goes on only where it
+    is finite;
+  * takes t and u from math.expm1 or _cubic;
+  * forms exp(A) only on the plan, tests those entries for finiteness once,
+    and builds A and exp(A) with one np.array each.
+
+No entry of A is -0.0 (0.0 - y is +0.0 where y is a zero), so a sum that
+leaves out a structural +0.0 has the bits of the sum with it.  A product
+x * 0.0 left out of tr A^2 is a signed zero, which moves at most the sign
+of a zero z that _cubic and the label read as zero, or NaN where x is not
+finite, and then exp(A) is not finite on x's entry either.
+
+The plan, read off the same terms at import, lists the entries where A or
+A^2 can be nonzero (three to six of the nine outside F8), and each is
+formed as E[n] + t*A[n] + u*A^2[n], left to right, with no term where A[n]
+or A^2[n] is a structural zero.  In F4, F9 and F10 every entry of A^2 is
+one product, A[l] * A[r], formed on the floats inside that entry's
 expression: a single product rounds the same whether or not BLAS fuses it
-with an add of zero.  Where the loop needs no A^2 (F1, F5 and F11, with
-u = 0, and where A^2 is zero but A is not), l = r is an entry of A that is
-always +0.0: the term adds +0.0 to E[n] + t*A[n], which is never -0.0 as
-E[n] is +0.0 or 1.0, so the bits are those of E[n] + t*A[n], and no
-overflowed A^2 makes 0 * inf = NaN.  Off the plan A[n] and A^2[n] are
-+0.0, t is finite and u finite and not negative, so E[n] + t*0.0 + u*0.0
-is E[n] to the last bit and needs no arithmetic.  Only F8's A^2, whose
-diagonal sums two products, stays in numpy, on all nine entries: BLAS may
-fuse that sum in a way Python floats cannot repeat, and it is
-np.dot(A, A), the dgemm that A @ A runs, without the matmul ufunc's
-overhead.
+with an add of zero.  The terms left out add exact zeros: E[n] + t*0.0 is
+E[n] where t is finite, and E[n] + t*A[n], never -0.0 as E[n] is +0.0 or
+1.0, is unchanged by u*(+0.0) where u is finite and not negative.  So the
+bits are those of E + t*A + u*A^2 on all nine, and F1, F5 and F11 form no
+A^2, which would overflow long before E + t*A.  Off the plan exp(A) is E's
+literal.  Only F8's A^2, whose diagonal sums two products, stays in numpy,
+on all nine entries: BLAS may fuse that sum in a way Python floats cannot
+repeat, and it is np.dot(A, A), the dgemm that A @ A runs, without the
+matmul ufunc's overhead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -106,13 +119,6 @@ class ExpResult:
     expA: Mat3
 
 
-def _finite(x: float) -> float:
-    # a trace of A or A^2 beyond double range leaves t and u undefined
-    if not math.isfinite(x):
-        raise OverflowError
-    return x
-
-
 def _cubic(z: float) -> tuple[float, float]:
     # (sinh(sqrt(z))/sqrt(z), (cosh(sqrt(z)) - 1)/z) continued through z <= 0
     if z == 0.0:
@@ -124,19 +130,100 @@ def _cubic(z: float) -> tuple[float, float]:
     return f(r) / r, 0.5 * fh * fh
 
 
-def _adjoint_entries(p: ClassParams, a: float, b: float, c: float) -> list:
-    """adjoint_rep(class_algebra(p), a, b, c) as its nine entries in row
-    order, Python floats formed straight from the bracket table.
+class _Src(str):
+    """Python source of a float, written by running the arithmetic that forms
+    it: lie._values on the names al and bt, A^2 and the traces on A's
+    entries.  _ZERO is a structural zero of A, which a product or a sum
+    leaves out; every other sum and product is parenthesized."""
 
-    The coordinates are read by lie._coordinates, as adjoint_rep reads them,
-    so no numpy scalar reaches the floats.
-    """
-    x = _coordinates(a, b, c)
-    w = _values(p)
-    v = [0.0] * 9
-    for i, n, m in _TERMS[p.class_id]:
-        v[n] -= x[i] * w[m]
-    return v
+    def __add__(self, other):
+        return other if self == _ZERO else self if other == _ZERO else _Src(f"({self} + {other})")
+
+    def __mul__(self, other):
+        return _ZERO if _ZERO in (self, other) else _Src(f"({self} * {other})")
+
+    def __rmul__(self, other):  # a float coefficient
+        return self if other == 1.0 else _Src(f"({other!r} * {self})")
+
+    def __neg__(self):
+        return _Src(f"-{self}")
+
+
+_ZERO = _Src("0.0")
+
+
+def _kernel_source(cid: str) -> str:
+    """The kernel _exp_<cid>(p, a, b, c) as Python source (module docstring)."""
+    factor, entries = _PLANS[cid]
+    terms = _TERMS[cid]
+    w = _values(SimpleNamespace(alpha=_Src("al"), beta=_Src("bt")))
+    nonzero = sorted({n for _, n, _ in terms})
+    a = [_Src(f"a{n}") if n in nonzero else _ZERO for n in range(9)]
+    entry_a = [f"    a{n} = 0.0" + "".join(f" - x{i} * {w[m]}" for i, k, m in terms if k == n)
+               for n in nonzero]
+    read = [f"    {x} = p.{name}" for x, name in (("al", "alpha"), ("bt", "beta"))
+            if any(x in w[m] for _, _, m in terms)]
+    A = f"np.array(({', '.join(a)}))"
+    body = [f"def _exp_{cid}(p, a, b, c):", "    x0, x1, x2 = _coordinates(a, b, c)",
+            *read, *entry_a]
+    if factor is not None:
+        body += [f"    k = {factor * (a[0] + a[4] + a[8])}",
+                 "    if math.isfinite(k):",
+                 "        try:",
+                 "            t = math.expm1(k) / k if k else 1.0",
+                 "        except OverflowError:  # exp(A) past double range",
+                 "            t = math.nan",
+                 "        u = 0.0"]
+        branch = '"generic" if k else "trace_zero"'
+    else:
+        body += [f"    z = {0.5 * _trace_sq(a)}",
+                 "    if math.isfinite(z):",
+                 "        try:",
+                 "            t, u = _cubic(z)",
+                 "        except OverflowError:  # exp(A) past double range",
+                 "            t = u = math.nan"]
+        # z underflows before A does, so an exact zero is read on A: all of
+        # it for F8, otherwise the a*E0 block (rows and columns 1, 2) that
+        # carries tr A^2
+        read_zero = nonzero if entries is None else [n for n in (4, 5, 7, 8) if n in nonzero]
+        label = "zero_matrix" if entries is None else "trA2_zero"
+        branch = f'"generic" if {" or ".join(["z"] + [a[n] for n in read_zero])} else "{label}"'
+    if entries is None:  # F8: all nine, with numpy's A^2
+        body += [f"        A = {A}",
+                 "        A.shape = (3, 3)",
+                 f"        {', '.join(f's{n}' for n in range(9))} = np.dot(A, A).reshape(9).tolist()"]
+        square = [(n, f"s{n}") for n in range(9)]
+    else:
+        square = [(n, a[l] * a[r]) for n, l, r in entries]
+    e = list(map(repr, _E))
+    for n, sq in square:
+        expr = [e[n]]
+        if a[n] != _ZERO:
+            expr.append(f"t * {a[n]}")
+        if sq != _ZERO:
+            expr.append(f"u * {sq}")
+        body.append(f"        e{n} = {' + '.join(expr)}")
+        e[n] = f"e{n}"
+    body += [f"        if {' + '.join(f'0.0 * e{n}' for n, _ in square)} == 0.0:  # all finite",
+             *([f"            A = {A}", "            A.shape = (3, 3)"] if entries is not None else []),
+             f"            expA = np.array(({', '.join(e)}))",
+             "            expA.shape = (3, 3)",
+             f"            return ExpResult(A, t, u, {branch}, expA)",
+             '    raise ValueError("exponential overflows double precision at these parameters")']
+    return "\n".join(body) + "\n"
+
+
+def _exp_source() -> str:
+    """All seven kernels and the table _KERNELS that closed_form reads."""
+    table = ", ".join(f'"{cid}": _exp_{cid}' for cid in CLASS_IDS)
+    return "".join(_kernel_source(cid) + "\n\n" for cid in CLASS_IDS) + f"_KERNELS = {{{table}}}\n"
+
+
+# closed_form's kernels, generated and compiled once; the text is kept for
+# reading.  Overflow ends in the one raise at the end of a kernel, outside
+# the except, so the ValueError carries no OverflowError as context.
+_EXP_SOURCE = _exp_source()
+exec(compile(_EXP_SOURCE, "<_EXP_SOURCE>", "exec"), globals())  # defines _KERNELS
 
 
 def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
@@ -147,52 +234,10 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
     float() refuses or that are not finite, and an exponential past double
     range, raise ValueError.
     """
-    plan = _PLANS.get(p.class_id)
-    if plan is None:
+    kernel = _KERNELS.get(p.class_id)
+    if kernel is None:
         raise ValueError(f"closed_form is defined for {CLASS_IDS}, not {p.class_id!r}")
-    factor, entries = plan
-
-    # Overflow anywhere below ends in the one raise after the try, not in
-    # the except, so the ValueError carries no OverflowError as context.
-    # Python floats never warn (0 * inf is NaN, as in numpy), and F8's
-    # np.dot waits for a finite tr A^2, which bounds A^2 (module docstring).
-    v = _adjoint_entries(p, a, b, c)
-    A = np.array(v)
-    A.shape = (3, 3)
-    e = list(_E)
-    try:
-        if factor is not None:
-            k = factor * _finite(v[0] + v[4] + v[8])  # tr A
-            t = math.expm1(k) / k if k else 1.0
-            u = 0.0  # no A^2, which overflows long before E + t*A does
-            branch = "generic" if k else "trace_zero"
-        else:
-            z = 0.5 * _finite(_trace_sq(v))
-            t, u = _cubic(z)
-            # z underflows before A does, so an exact zero is read on A: all
-            # of it for F8, otherwise the a*E0 block (rows and columns 1, 2)
-            # that carries tr A^2
-            if entries is None:
-                branch = "generic" if z or any(v) else "zero_matrix"
-            else:
-                branch = "generic" if z or v[4] or v[5] or v[7] or v[8] else "trA2_zero"
-        if entries is None:
-            sq = np.dot(A, A).reshape(9).tolist()
-            e = [d + t * x + u * y for d, x, y in zip(_E, v, sq)]
-            if not all(map(math.isfinite, e)):
-                raise OverflowError
-        else:
-            for n, l, r in entries:
-                e[n] = x = e[n] + t * v[n] + u * (v[l] * v[r])
-                if not math.isfinite(x):
-                    raise OverflowError
-    except OverflowError:  # math.expm1/sinh, a trace, or exp(A) past double range
-        e = None
-    if e is None:
-        raise ValueError("exponential overflows double precision at these parameters")
-    expA = np.array(e)  # owns its data, unlike a reshaped view
-    expA.shape = (3, 3)
-    return ExpResult(A, t, u, branch, expA)
+    return kernel(p, a, b, c)
 
 
 def para_sasakian_group(a: float, b: float, c: float) -> ExpResult:

@@ -96,8 +96,8 @@ def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
     max(1, max|exp(A)|), with the conditioning of exp itself on top.
 
     tol is read by _positive_tol.  Raises ValueError for a max-abs norm
-    above ORACLE_MAX_NORM, and where longdouble has no more precision than
-    1e-18.
+    above ORACLE_MAX_NORM, for a tol whose tol * 2**-s underflows to 0, and
+    where longdouble has no more precision than 1e-18.
     """
     tol = _positive_tol(tol)
     if _LONGDOUBLE_EPS > 1e-18:
@@ -117,6 +117,8 @@ def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
     scale = 2.0 ** squarings
     scaled = a.astype(np.longdouble) / scale
     threshold = tol / scale
+    if threshold == 0.0:  # no term falls below it
+        raise ValueError(f"tol = {tol!r} is too small: tol / 2**{squarings} underflows to 0")
 
     result = np.eye(3, dtype=np.longdouble)
     term = np.eye(3, dtype=np.longdouble)

@@ -18,7 +18,9 @@ nabla phi as two gathers from Gamma, phi hard-coded as an index map.
 identity replaced.  ``replaced_structure_constants``,
 ``replaced_jacobi_defect`` and ``replaced_lie_algebra`` are the validation
 gate before it read C once: each check converted C to Python floats on its
-own, and max|C| was taken twice.
+own, and max|C| was taken twice.  ``_adjoint_entries`` is A as closed_form
+formed it before each class had a generated kernel: a loop over the bracket
+terms into a list of nine Python floats.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from paralie import levicivita
 from paralie.levicivita import NotALieAlgebraError
-from paralie.lie import _flat, _ldexp
+from paralie.lie import _TERMS, _coordinates, _flat, _ldexp, _values
 from paralie.mat3 import max_abs, trace, trace_sq
 from paralie.structure import _LEE, CLASS_IDS, ClassParams, LeeForms, _dense
 
@@ -234,3 +236,18 @@ def replaced_lie_algebra(c) -> np.ndarray:
     if max(flat.tolist()) >= 2.0**1023:
         raise ValueError("structure constants overflow double precision (max |C| >= 2**1023)")
     return flat
+
+
+def _adjoint_entries(p: ClassParams, a: float, b: float, c: float) -> list:
+    """adjoint_rep(class_algebra(p), a, b, c) as its nine entries in row
+    order, Python floats formed straight from the bracket table.
+
+    The coordinates are read by lie._coordinates, as adjoint_rep reads them,
+    so no numpy scalar reaches the floats.
+    """
+    x = _coordinates(a, b, c)
+    w = _values(p)
+    v = [0.0] * 9
+    for i, n, m in _TERMS[p.class_id]:
+        v[n] -= x[i] * w[m]
+    return v

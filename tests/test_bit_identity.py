@@ -12,8 +12,10 @@ there closed_form must return the replaced formulas' E + t*A.  Fixed edge
 cases the sample never reaches (2 alpha past double range, signed zeros,
 an exact cancellation in A) are checked the same way with every warning an
 error.  closed_form now forms A from the bracket table, without
-class_algebra and adjoint_rep; that A must be adjoint_rep's byte for byte
-on the same sample and edge cases, NaN where both form 0 * inf.
+class_algebra and adjoint_rep, in a kernel generated per class; the loop it
+replaced (``reference._adjoint_entries``) must give adjoint_rep's A byte
+for byte on the same sample and edge cases, NaN where both form 0 * inf,
+and the kernel's A must be that loop's wherever closed_form returns.
 
 The validation gate shared by connection_coeffs, f_tensor and
 classify_manifold was rewritten to read C once.  Those three and
@@ -38,7 +40,7 @@ import numpy as np
 import pytest
 
 from paralie import levicivita
-from paralie.expengine import _adjoint_entries, closed_form
+from paralie.expengine import closed_form
 from paralie.levicivita import (
     _CLASSIFY,
     _INDEP,
@@ -52,6 +54,7 @@ from paralie.lie import adjoint_rep, class_algebra, jacobi_defect, structure_con
 from paralie.mat3 import trace
 from paralie.structure import CLASS_IDS, ClassParams, LeeForms, _report
 from reference import (
+    _adjoint_entries,
     replaced_jacobi_defect,
     replaced_koszul,
     replaced_lie_algebra,
@@ -215,10 +218,9 @@ def test_closed_form_bit_identical_at_edge_cases(p, a, b, co):
 
 
 def test_entries_match_adjoint_rep_of_class_algebra():
-    # closed_form's A, formed from the bracket table without the constants
-    # array, is adjoint_rep's A byte for byte, overflow included; where 2
-    # alpha is inf and a coordinate zero, both hold NaN (0 * inf) in the
-    # same places
+    # A formed from the bracket table without the constants array is
+    # adjoint_rep's A byte for byte, overflow included; where 2 alpha is inf
+    # and a coordinate zero, both hold NaN (0 * inf) in the same places
     rng = np.random.default_rng(75)
     cases = [(ClassParams(cid, alpha, beta), a, b, co)
              for cid in CLASS_IDS for alpha, beta, a, b, co in draws(rng, 1500)]
@@ -227,6 +229,12 @@ def test_entries_match_adjoint_rep_of_class_algebra():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = np.array(_adjoint_entries(p, a, b, co)).reshape(3, 3)
+            try:
+                res = closed_form(p, a, b, co)
+            except ValueError:
+                res = None
+        # the generated kernel forms A with the same bytes, wherever it returns
+        assert res is None or res.A.tobytes() == got.tobytes(), (p, a, b, co)
         with np.errstate(over="ignore", invalid="ignore"):
             want = adjoint_rep(class_algebra(p), a, b, co)
         nan = np.isnan(want)

@@ -97,6 +97,20 @@ def test_expm_oracle_takes_tol_at_its_float_value():
         assert expm_oracle(np.eye(3), tol).tobytes() == want.tobytes()
 
 
+def test_expm_oracle_refuses_a_tol_whose_scaled_threshold_underflows():
+    # the series stops once a term falls below tol / 2**s; at the smallest
+    # subnormal tol and one squaring that threshold is 0, which no term
+    # falls below
+    with pytest.raises(ValueError, match="tol = 5e-324 is too small"):
+        expm_oracle(np.eye(3), 5e-324)
+    # a threshold that stays positive still converges: the smallest tol
+    # with no squaring, and 1e-320 on a rotation at the largest norm, 11
+    # squarings
+    assert np.isfinite(expm_oracle(np.eye(3) / 4, 5e-324)).all()
+    rotation = np.array([[0.0, 1024.0, 0.0], [-1024.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.isfinite(expm_oracle(rotation, 1e-320)).all()
+
+
 def test_expm_oracle_refuses_a_matrix_float_refuses():
     for bad in ({}, object(), [[{}] * 3] * 3, [[10**400] * 3] * 3, [[None] * 3] * 3):
         with pytest.raises(ValueError, match="expm_oracle's matrix entries must be real numbers"):

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -6,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from paralie import expengine
 from paralie.cli import main
-from paralie.expengine import closed_form, para_sasakian_group
+from paralie.expengine import _EXP_SOURCE, _PLANS, closed_form, para_sasakian_group
 from paralie.lie import adjoint_rep, class_algebra
 from paralie.mat3 import expm_oracle, max_abs, trace, trace_sq
 from paralie.structure import CLASS_IDS, ClassParams
@@ -411,6 +413,63 @@ def test_closed_form_agrees_with_annihilator_reconstruction(cid):
         res = closed_form(p, a, b, c)
         recon = _exp_from_annihilator(res.A)
         assert max_abs(res.expA - recon) <= 1e-12
+
+
+# --- the generated kernels ---------------------------------------------------------
+
+
+def kernel(source, cid):
+    """The definition of class cid's kernel in source, parsed."""
+    return next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == f"_exp_{cid}")
+
+
+def planned_entries(source, cid):
+    """The flat indices where class cid's kernel sets exp(A): the entries of
+    its expA = np.array((...)) that are names it assigns.  Every other entry
+    must be the literal of the identity's entry."""
+    fn = kernel(source, cid)
+    assigned = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    (build,) = [node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                and [ast.unparse(target) for target in node.targets] == ["expA"]]
+    assert ast.unparse(build.func) == "np.array", cid
+    planned = set()
+    for n, entry in enumerate(build.args[0].elts):
+        if isinstance(entry, ast.Name) and entry.id in assigned:
+            planned.add(n)
+        else:
+            assert isinstance(entry, ast.Constant), (cid, n)
+            assert repr(entry.value) == repr(float(np.eye(3).flat[n])), (cid, n)
+    return planned
+
+
+def plan_indices(cid):
+    entries = _PLANS[cid][1]
+    return set(range(9)) if entries is None else {n for n, _, _ in entries}
+
+
+def test_generated_kernels_set_exp_a_exactly_on_the_plan():
+    # each kernel assigns exp(A) at its plan's indices and leaves E's literal
+    # everywhere else; only F8 forms A^2 in numpy; the text is reproducible
+    assert expengine._exp_source() == _EXP_SOURCE
+    for cid in CLASS_IDS:
+        assert planned_entries(_EXP_SOURCE, cid) == plan_indices(cid), cid
+        calls = {ast.unparse(node.func) for node in ast.walk(kernel(_EXP_SOURCE, cid))
+                 if isinstance(node, ast.Call)}
+        assert ("np.dot" in calls) == (cid == "F8"), cid
+
+
+def test_plan_check_catches_a_generator_that_drops_an_entry(monkeypatch):
+    # the check above fails on source generated with one planned entry left
+    # out: that entry is E's literal, and planned_entries no longer matches
+    for cid, (factor, entries) in _PLANS.items():
+        if entries is None:  # F8 sets all nine
+            continue
+        want = plan_indices(cid)
+        for k in range(len(entries)):
+            monkeypatch.setitem(expengine._PLANS, cid, (factor, entries[:k] + entries[k + 1:]))
+            assert planned_entries(expengine._exp_source(), cid) == want - {entries[k][0]}, cid
 
 
 # --- JSON ------------------------------------------------------------------------

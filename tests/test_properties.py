@@ -48,12 +48,12 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from paralie.expengine import _PLANS, _adjoint_entries, _plan, closed_form
+from paralie.expengine import _PLANS, _plan, closed_form
 from paralie.levicivita import classify_manifold
 from paralie.lie import _TERMS, adjoint_rep, class_algebra
 from paralie.mat3 import trace_sq
 from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams, standard_structure
-from reference import class_pattern
+from reference import _adjoint_entries, class_pattern
 
 UNIT = Fraction(1, 2**53)
 E = np.eye(3, dtype=int).astype(object)
