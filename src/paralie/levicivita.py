@@ -10,9 +10,19 @@ and nabla phi, for the phi of the standard structure, is one commutator per
 frame vector, F[i] = phi Gamma[i] - Gamma[i] phi: algebra -> connection ->
 tensor -> class and parameters.  Every step is linear, so classification
 applies the composite once: a fixed (23, 9) matrix on the nine independent
-constants, which the validation gate holds as Python floats, applied as 23
-generated straight-line sums.  Its class patterns are F of lie.class_algebra
-at unit parameters, so the bracket table is the one per-class table.
+constants, which the validation gate holds as Python floats.  Its class
+patterns are F of lie.class_algebra at unit parameters, so the bracket
+table is the one per-class table.
+
+After the gate, classify_manifold is one straight-line function, its
+kernel, generated at import from the map's rows and CLASS_IDS and compiled
+from one source string kept for reading, _CLASSIFY_SOURCE, as expengine
+does with its exponentials.  It reads tol with mat3._positive_tol, forms
+each class's alpha and beta as named floats (a zero row, the beta of a
+one-parameter class, is the literal 0.0 and is never tested), builds params
+as one dict literal, decides the verdict and the dominant class in
+straight-line ifs in CLASS_IDS order, and builds the Lee forms as one array
+of nine with three views.
 """
 
 from __future__ import annotations
@@ -22,9 +32,9 @@ import math
 import numpy as np
 
 from .lie import StructureConstants, _flat, _jacobi, _validated, class_algebra
-from .mat3 import _real
-from .structure import _LEE, CLASS_IDS, ClassParams, ClassReport, FTensor, LeeForms, _report
-from .structure import standard_structure
+from .mat3 import _positive_tol, _real
+from .structure import _LEE, CLASS_IDS, PARA_SASAKIAN_THETA0, PARA_SASAKIAN_TOL, ClassParams
+from .structure import ClassReport, FTensor, LeeForms, standard_structure
 
 JACOBI_TOL = 1e-12
 
@@ -124,7 +134,7 @@ def f_tensor(c: StructureConstants) -> FTensor:
 # recovered exactly, and each row's L1 norm is at most 2, so below
 # max|C| = 2**1023 nothing overflows.  The patterns span every F that an
 # algebra induces, so nothing is left over.  classify_manifold applies the
-# map as straight-line sums generated from it (_RECOVER_SOURCE).
+# map as straight-line sums in its generated kernel (_CLASSIFY_SOURCE).
 _INDEP = np.flatnonzero(_I < _J)
 
 
@@ -149,26 +159,60 @@ _PQR = ("p0", "p1", "p2", "q0", "q1", "q2", "r0", "r1", "r2")
 _SUM_ORDER = {10: ("p2", "r0", "q1")}
 
 
+# The pair of every class recovered as exactly zero.  The generated sums end
+# in + 0.0, which makes each zero positive, so sharing one tuple keeps the
+# bits and leaves the cyclic garbage collector fewer objects.
+_ZERO_PAIR = (0.0, 0.0)
+
+
 def _sum(n: int, row: dict) -> str:
-    """Row n of _CLASSIFY ({variable: coefficient}) as a line of Python: the
-    nonzero terms, exact outside the subnormals, and + 0.0 to clear -0.0."""
+    """Row n of _CLASSIFY ({variable: coefficient}) as a Python expression:
+    the nonzero terms, exact outside the subnormals, and + 0.0 to clear
+    -0.0; a zero row is the literal 0.0."""
     terms = [x if row[x] == 1.0 else f"{row[x]!r} * {x}"
              for x in _SUM_ORDER.get(n, _PQR) if row[x]]
-    return f"        {' + '.join(terms + ['0.0']) if terms else '0.0'},\n"
+    return " + ".join(terms + ["0.0"]) if terms else "0.0"
 
 
-# classify_manifold's sums, generated and compiled once, as dataclasses does
-# its methods; the text is kept for reading.
-_ROWS = [_sum(n, dict(zip(_PQR, row))) for n, row in enumerate(_CLASSIFY.tolist())]
-_RECOVER_SOURCE = f"""def _recover(pqr):
-    {", ".join(_PQR)} = pqr
-    coef = [
-{"".join(_ROWS[:14])}    ]
-    lee = np.array((
-{"".join(_ROWS[14:])}    ))
-    return coef, LeeForms(lee[:3], lee[3:6], lee[6:])
-"""
-exec(compile(_RECOVER_SOURCE, "<_RECOVER_SOURCE>", "exec"), globals())  # defines _recover
+def _classify_source() -> str:
+    """The kernel _classify(pqr, tol) as Python source (module docstring)."""
+    rows = [_sum(n, dict(zip(_PQR, row))) for n, row in enumerate(_CLASSIFY.tolist())]
+    k = 2 * len(CLASS_IDS)
+    # alpha and beta of class n are named an and bn, or are the literal 0.0
+    # where their row is zero (the beta of a one-parameter class)
+    names = [f"{'ab'[n % 2]}{n // 2}" if rows[n] != "0.0" else "0.0" for n in range(k)]
+    params, verdict = [], []
+    for cid, a, b in zip(CLASS_IDS, names[::2], names[1::2]):
+        nonzero = [x for x in (a, b) if x != "0.0"]
+        s = ", ".join(f"abs({x})" for x in nonzero)
+        params.append(f'        "{cid}": ({a}, {b}) if {" or ".join(nonzero)} else _ZERO_PAIR,')
+        verdict += [f"    s = {s if len(nonzero) == 1 else f'max({s})'}",
+                    "    if s > tol:",
+                    f'        verdict.append("{cid}")',
+                    "        if s > size:",
+                    f"            alpha, beta, size = {a}, {b}, s"]
+    return "\n".join([
+        "def _classify(pqr, tol):",
+        f"    {', '.join(_PQR)} = pqr",
+        "    tol = _positive_tol(tol)",
+        *[f"    {x} = {row}" for x, row in zip(names, rows) if x != "0.0"],
+        "    params = {", *params, "    }",
+        "    verdict = []  # the detected classes, in CLASS_IDS order",
+        "    alpha = beta = size = 0.0  # the dominant class's; the first one wins a tie",
+        *verdict,
+        f"    theta0 = {rows[k]}",
+        "    lee = np.array((", "        theta0,", *[f"        {x}," for x in rows[k + 1:]], "    ))",
+        '    para_sasakian = verdict == ["F4"] and (',
+        "        abs(theta0 - PARA_SASAKIAN_THETA0) <= PARA_SASAKIAN_TOL)",
+        '    return ClassReport(verdict or ["F0"], alpha, beta,',
+        "                       LeeForms(lee[:3], lee[3:6], lee[6:]), para_sasakian, params)",
+    ]) + "\n"
+
+
+# classify_manifold's kernel, generated and compiled once, as dataclasses
+# does its methods; the text is kept for reading.
+_CLASSIFY_SOURCE = _classify_source()
+exec(compile(_CLASSIFY_SOURCE, "<_CLASSIFY_SOURCE>", "exec"), globals())  # defines _classify
 
 
 def classify_manifold(c: StructureConstants, tol: float = 1e-12) -> ClassReport:
@@ -177,4 +221,4 @@ def classify_manifold(c: StructureConstants, tol: float = 1e-12) -> ClassReport:
     C is checked as in connection_coeffs, then tol, the verdict threshold,
     must be a positive finite number (ValueError).
     """
-    return _report(*_recover(_lie_algebra(c)[1]), tol)
+    return _classify(_lie_algebra(c)[1], tol)

@@ -96,8 +96,9 @@ def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
     max(1, max|exp(A)|), with the conditioning of exp itself on top.
 
     tol is read by _positive_tol.  Raises ValueError for a max-abs norm
-    above ORACLE_MAX_NORM, for a tol whose tol * 2**-s underflows to 0, and
-    where longdouble has no more precision than 1e-18.
+    above ORACLE_MAX_NORM, for a tol whose tol * 2**-s underflows to 0,
+    where exp(A) passes double range (no numpy warning), and where
+    longdouble has no more precision than 1e-18.
     """
     tol = _positive_tol(tol)
     if _LONGDOUBLE_EPS > 1e-18:
@@ -133,4 +134,13 @@ def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
             raise RuntimeError("exponential series failed to converge")
     for _ in range(squarings):
         result = result @ result
-    return result.astype(float)
+    # longdouble holds exp(A) for every norm in range, a double may not; but
+    # max|exp(A)| <= e**(3 max|A|), which is below e**708 up to norm 236
+    if norm <= 236.0:
+        return result.astype(float)
+    try:
+        with np.errstate(over="raise"):
+            return result.astype(float)
+    except FloatingPointError:  # exp(A) past double range
+        pass
+    raise ValueError(f"expm_oracle's exp(A) overflows double precision (max |A| = {norm:.3e})")

@@ -17,7 +17,8 @@ of such tensors survive, each a one- or two-parameter pattern:
 F0 is the integrable case F = 0.  No table of these patterns is stored:
 each is F of its class's algebra (lie's bracket table) at a unit parameter.
 levicivita folds the projection onto them into its classification map, and
-the verdict is read off the 14 recovered parameters in one pass.
+one kernel generated from that map forms the parameters, the verdict and
+the ClassReport in one function.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mat3 import Mat3, Vec3, _positive_tol, _real, max_abs, trace
+from .mat3 import Mat3, Vec3, _real, max_abs, trace
 
 CLASS_IDS = ("F1", "F4", "F5", "F8", "F9", "F10", "F11")
 TWO_PARAMETER_CLASSES = ("F1", "F11")
@@ -151,11 +152,13 @@ _LEE = _dense(_LEE_CELLS)
 
 @dataclass(eq=False)
 class ClassReport:
-    """Verdict of classify_manifold: the classes whose recovered parameter
-    is significant, or ["F0"] when none is; alpha/beta, the parameters of
-    the dominant class; params, the per-class recoveries.  A class recovered
-    as exactly (0.0, 0.0), which no tol detects, holds the one (0.0, 0.0)
-    tuple that every report shares."""
+    """Verdict of classify_manifold, built in one call of its generated
+    kernel (levicivita._CLASSIFY_SOURCE): the classes, in CLASS_IDS order,
+    whose recovered |alpha| or |beta| exceeds tol, or ["F0"] when none does;
+    alpha/beta, the parameters of the dominant class (the first on a tie);
+    params, the per-class recoveries.  A class recovered as exactly
+    (0.0, 0.0), which no tol detects, holds the one (0.0, 0.0) tuple that
+    every report shares."""
 
     verdict: list[str]
     alpha: float
@@ -163,34 +166,3 @@ class ClassReport:
     lee: LeeForms
     para_sasakian: bool
     params: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-
-# The pair of every class recovered as exactly zero.  levicivita's generated
-# sums end in + 0.0, which makes each zero positive, so sharing one tuple
-# keeps the bits and leaves the cyclic garbage collector fewer objects.
-_ZERO_PAIR = (0.0, 0.0)
-
-
-def _report(coef: list, lee: LeeForms, tol: float) -> ClassReport:
-    """The verdict on the 14 recovered parameters, alpha then beta of each
-    class in CLASS_IDS order (the first 14 entries of coef), once
-    mat3._positive_tol has read tol.
-    """
-    tol = _positive_tol(tol)
-    params = {}
-    verdict = []  # the detected classes, in CLASS_IDS order
-    alpha = beta = size = 0.0  # the dominant class's; the first one wins a tie
-    coefs = iter(coef)
-    for cid, a, b in zip(CLASS_IDS, coefs, coefs):
-        if a == 0.0 and b == 0.0:  # below every positive tol
-            params[cid] = _ZERO_PAIR
-            continue
-        params[cid] = (a, b)
-        if abs(a) > tol or abs(b) > tol:
-            verdict.append(cid)
-            s = max(abs(a), abs(b))
-            if s > size:
-                alpha, beta, size = a, b, s
-    para_sasakian = verdict == ["F4"] and (
-        abs(float(lee.theta[0]) - PARA_SASAKIAN_THETA0) <= PARA_SASAKIAN_TOL)
-    return ClassReport(verdict or ["F0"], alpha, beta, lee, para_sasakian, params)

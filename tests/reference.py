@@ -20,7 +20,10 @@ identity replaced.  ``replaced_structure_constants``,
 gate before it read C once: each check converted C to Python floats on its
 own, and max|C| was taken twice.  ``_adjoint_entries`` is A as closed_form
 formed it before each class had a generated kernel: a loop over the bracket
-terms into a list of nine Python floats.
+terms into a list of nine Python floats.  ``replaced_report`` is the
+verdict pass that classify_manifold ran on the 14 recovered parameters
+before one generated kernel formed the parameters, the verdict and the
+report in one function.
 """
 
 from __future__ import annotations
@@ -32,10 +35,19 @@ from typing import Optional
 import numpy as np
 
 from paralie import levicivita
-from paralie.levicivita import NotALieAlgebraError
+from paralie.levicivita import _ZERO_PAIR, NotALieAlgebraError
 from paralie.lie import _TERMS, _coordinates, _flat, _ldexp, _values
-from paralie.mat3 import max_abs, trace, trace_sq
-from paralie.structure import _LEE, CLASS_IDS, ClassParams, LeeForms, _dense
+from paralie.mat3 import _positive_tol, max_abs, trace, trace_sq
+from paralie.structure import (
+    _LEE,
+    CLASS_IDS,
+    PARA_SASAKIAN_THETA0,
+    PARA_SASAKIAN_TOL,
+    ClassParams,
+    ClassReport,
+    LeeForms,
+    _dense,
+)
 
 
 @dataclass(frozen=True)
@@ -251,3 +263,28 @@ def _adjoint_entries(p: ClassParams, a: float, b: float, c: float) -> list:
     for i, n, m in _TERMS[p.class_id]:
         v[n] -= x[i] * w[m]
     return v
+
+
+def replaced_report(coef: list, lee: LeeForms, tol: float) -> ClassReport:
+    """The verdict on the 14 recovered parameters, alpha then beta of each
+    class in CLASS_IDS order (the first 14 entries of coef), once
+    mat3._positive_tol has read tol.
+    """
+    tol = _positive_tol(tol)
+    params = {}
+    verdict = []  # the detected classes, in CLASS_IDS order
+    alpha = beta = size = 0.0  # the dominant class's; the first one wins a tie
+    coefs = iter(coef)
+    for cid, a, b in zip(CLASS_IDS, coefs, coefs):
+        if a == 0.0 and b == 0.0:  # below every positive tol
+            params[cid] = _ZERO_PAIR
+            continue
+        params[cid] = (a, b)
+        if abs(a) > tol or abs(b) > tol:
+            verdict.append(cid)
+            s = max(abs(a), abs(b))
+            if s > size:
+                alpha, beta, size = a, b, s
+    para_sasakian = verdict == ["F4"] and (
+        abs(float(lee.theta[0]) - PARA_SASAKIAN_THETA0) <= PARA_SASAKIAN_TOL)
+    return ClassReport(verdict or ["F0"], alpha, beta, lee, para_sasakian, params)

@@ -52,13 +52,14 @@ from paralie.levicivita import (
 )
 from paralie.lie import adjoint_rep, class_algebra, jacobi_defect, structure_constants
 from paralie.mat3 import trace
-from paralie.structure import CLASS_IDS, ClassParams, LeeForms, _report
+from paralie.structure import CLASS_IDS, ClassParams, LeeForms
 from reference import (
     _adjoint_entries,
     replaced_jacobi_defect,
     replaced_koszul,
     replaced_lie_algebra,
     replaced_nabla_phi,
+    replaced_report,
     replaced_structure_constants,
 )
 
@@ -249,7 +250,7 @@ def test_entries_match_adjoint_rep_of_class_algebra():
 
 def replaced_classify(c, tol=1e-12):
     y = _CLASSIFY @ replaced_lie_algebra(c)[_INDEP] + 0.0
-    return _report(y[:14].tolist(), LeeForms(y[14:17], y[17:20], y[20:]), tol)
+    return replaced_report(y[:14].tolist(), LeeForms(y[14:17], y[17:20], y[20:]), tol)
 
 
 # each public function next to its composition from the replaced gate

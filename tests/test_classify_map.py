@@ -125,7 +125,7 @@ def test_random_antisymmetric_constants_match_the_reference(monkeypatch):
 # --- the straight-line map ------------------------------------------------------
 #
 # classify_manifold applies _CLASSIFY as straight-line sums on Python floats,
-# generated from it at import (levicivita._RECOVER_SOURCE): the nonzero terms
+# generated from it at import (levicivita._CLASSIFY_SOURCE): the nonzero terms
 # of each row in the order the matvec sums them, so that the values are the
 # matvec's byte for byte (tests/test_bit_identity.py).  That rests on three
 # facts checked here: the sums are _CLASSIFY's rows; outside the subnormal
@@ -148,11 +148,12 @@ def test_straight_line_map_is_the_map_on_unit_constants():
     for n in range(9):
         pqr = [0.0] * 9
         pqr[n] = 1.0
-        coef, lee = levicivita._recover(pqr)
-        got = np.concatenate((coef, lee.theta, lee.theta_star, lee.omega))
+        report = levicivita._classify(pqr, 1e-12)
+        got = np.concatenate(fused(report))
         assert got.tobytes() == _CLASSIFY[:, n].tobytes(), n
         # the Lee forms are views of one array
-        assert lee.theta.base is lee.omega.base is not None
+        lee = report.lee
+        assert lee.theta.base is lee.theta_star.base is lee.omega.base is not None
 
 
 HALF_TINY = Fraction(2) ** -1075  # half the spacing of the subnormals

@@ -111,6 +111,28 @@ def test_expm_oracle_refuses_a_tol_whose_scaled_threshold_underflows():
     assert np.isfinite(expm_oracle(rotation, 1e-320)).all()
 
 
+def test_expm_oracle_refuses_an_exponential_past_double_range():
+    # inside ORACLE_MAX_NORM the extended-precision sum holds e**800, but no
+    # double does: a ValueError with no numpy warning and no chained
+    # exception, where the cast used to warn and return inf
+    for a in (np.diag([800.0, 0.0, 0.0]), np.array([[0.0, 720.0, 0.0], [720.0, 0.0, 0.0], [0.0] * 3])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"exp\(A\) overflows double precision") as info:
+                expm_oracle(a)
+        assert info.value.__context__ is None and info.value.__cause__ is None
+
+
+def test_expm_oracle_is_finite_just_inside_double_range():
+    # e**709.78 is about 1.793e308, below the largest double (about
+    # e**709.7827); exp(-800) is below the subnormals and reads as 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge = expm_oracle(np.diag([709.78, 0.0, -800.0]))
+    assert 1.79e308 < edge[0, 0] < math.inf
+    assert edge[2, 2] == 0.0 and edge[1, 1] == 1.0
+
+
 def test_expm_oracle_refuses_a_matrix_float_refuses():
     for bad in ({}, object(), [[{}] * 3] * 3, [[10**400] * 3] * 3, [[None] * 3] * 3):
         with pytest.raises(ValueError, match="expm_oracle's matrix entries must be real numbers"):
