@@ -40,7 +40,9 @@ reading, _EXP_SOURCE, as levicivita does with its sums.  A kernel
     is finite;
   * takes t and u from math.expm1 or _cubic;
   * forms exp(A) only on the plan, tests those entries for finiteness once,
-    and builds A and exp(A) with one np.array each.
+    and writes A's nine entries and then exp(A)'s into one new (2, 3, 3)
+    array with one struct pack_into: native doubles, copied bit for bit.
+    F8, which needs A as an array before exp(A), builds each with np.array.
 
 No entry of A is -0.0 (0.0 - y is +0.0 where y is a zero), so a sum that
 leaves out a structural +0.0 has the bits of the sum with it.  A product
@@ -68,6 +70,7 @@ matmul ufunc's overhead.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -82,6 +85,9 @@ from .structure import CLASS_IDS, ClassParams
 _TRACE_FACTOR = {"F1": 1.0, "F5": 0.5, "F11": 1.0}
 
 _E = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the identity's entries in row order
+
+# A's nine entries, then exp(A)'s, written as native doubles into one array
+_pack_into = struct.Struct("18d").pack_into
 
 
 def _plan(cid: str) -> tuple:
@@ -110,7 +116,11 @@ _PLANS = {cid: _plan(cid) for cid in CLASS_IDS}
 
 @dataclass(eq=False)
 class ExpResult:
-    """One evaluated exponential: ingredients, diagnostic label, and the element."""
+    """One evaluated exponential: ingredients, diagnostic label, and the element.
+
+    Outside F8, A and expA are the two halves of one (2, 3, 3) array, each a
+    writable C-ordered (3, 3) view that shares no memory with the other.
+    """
 
     A: Mat3
     t: float
@@ -163,7 +173,6 @@ def _kernel_source(cid: str) -> str:
                for n in nonzero]
     read = [f"    {x} = p.{name}" for x, name in (("al", "alpha"), ("bt", "beta"))
             if any(x in w[m] for _, _, m in terms)]
-    A = f"np.array(({', '.join(a)}))"
     body = [f"def _exp_{cid}(p, a, b, c):", "    x0, x1, x2 = _coordinates(a, b, c)",
             *read, *entry_a]
     if factor is not None:
@@ -189,7 +198,7 @@ def _kernel_source(cid: str) -> str:
         label = "zero_matrix" if entries is None else "trA2_zero"
         branch = f'"generic" if {" or ".join(["z"] + [a[n] for n in read_zero])} else "{label}"'
     if entries is None:  # F8: all nine, with numpy's A^2
-        body += [f"        A = {A}",
+        body += [f"        A = np.array(({', '.join(a)}))",
                  "        A.shape = (3, 3)",
                  f"        {', '.join(f's{n}' for n in range(9))} = np.dot(A, A).reshape(9).tolist()"]
         square = [(n, f"s{n}") for n in range(9)]
@@ -204,12 +213,16 @@ def _kernel_source(cid: str) -> str:
             expr.append(f"u * {sq}")
         body.append(f"        e{n} = {' + '.join(expr)}")
         e[n] = f"e{n}"
-    body += [f"        if {' + '.join(f'0.0 * e{n}' for n, _ in square)} == 0.0:  # all finite",
-             *([f"            A = {A}", "            A.shape = (3, 3)"] if entries is not None else []),
-             f"            expA = np.array(({', '.join(e)}))",
-             "            expA.shape = (3, 3)",
-             f"            return ExpResult(A, t, u, {branch}, expA)",
-             '    raise ValueError("exponential overflows double precision at these parameters")']
+    body.append(f"        if {' + '.join(f'0.0 * e{n}' for n, _ in square)} == 0.0:  # all finite")
+    if entries is None:
+        body += [f"            expA = np.array(({', '.join(e)}))",
+                 "            expA.shape = (3, 3)",
+                 f"            return ExpResult(A, t, u, {branch}, expA)"]
+    else:  # A and exp(A), the two halves of one array
+        body += ["            buf = np.empty((2, 3, 3))",
+                 f"            _pack_into(buf, 0, {', '.join(a + e)})",
+                 f"            return ExpResult(buf[0], t, u, {branch}, buf[1])"]
+    body.append('    raise ValueError("exponential overflows double precision at these parameters")')
     return "\n".join(body) + "\n"
 
 

@@ -18,10 +18,11 @@ algebra element a*E0 + b*E1 + c*E2 is A[j][k] = -(a*C_0jk + b*C_1jk + c*C_2jk).
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
-from .mat3 import Mat3, _real
+from .mat3 import Mat3, _float, _real
 from .structure import ClassParams
 
 StructureConstants = np.ndarray  # shape (3, 3, 3), C[i][j][k]
@@ -92,6 +93,10 @@ _TERMS = {
 }
 
 
+# class_algebra's 27 floats, written as native doubles into its array
+_pack_into = struct.Struct("27d").pack_into
+
+
 def _values(p: ClassParams) -> tuple:
     # the values m of _TERMS, (alpha, -alpha, 2 alpha, -2 alpha, beta, -beta);
     # the products are Python floats, so 2*alpha past double range is inf
@@ -106,7 +111,9 @@ def class_algebra(p: ClassParams) -> StructureConstants:
     c = [0.0] * 27
     for i, n, m in _TERMS[p.class_id]:
         c[9 * i + n] = w[m]
-    return np.array(c).reshape(3, 3, 3)
+    out = np.empty((3, 3, 3))
+    _pack_into(out, 0, *c)
+    return out
 
 
 def jacobi_defect(c: StructureConstants) -> float:
@@ -157,11 +164,12 @@ def _ldexp(x: float, e: int) -> float:
 def _coordinates(a, b, c) -> tuple[float, float, float]:
     """The frame coordinates (a, b, c) as Python floats.
 
-    Each is converted once with float(); what float() refuses, and a
-    coordinate that is not finite, is a ValueError.
+    Each is converted once with mat3._float(), a float as it is; what that
+    refuses, and a coordinate that is not finite, is a ValueError.
     """
     try:
-        x = x0, x1, x2 = float(a), float(b), float(c)
+        x = x0, x1, x2 = (a if type(a) is float else _float(a), b if type(b) is float else _float(b),
+                          c if type(c) is float else _float(c))
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"coordinates must be real numbers ({a!r}, {b!r}, {c!r})") from None
     if not (math.isfinite(x0) and math.isfinite(x1) and math.isfinite(x2)):

@@ -42,6 +42,14 @@ def _trace_sq(v: list) -> float:
             + ((a11 * a11 + a12 * a21) + (a20 * a02 + a21 * a12))) + a22 * a22
 
 
+def _float(v) -> float:
+    """float(v), refusing a numpy complex scalar with a TypeError as float()
+    refuses a Python complex: float() would read its real part and warn."""
+    if isinstance(v, np.complexfloating):
+        raise TypeError(f"must be a real number, not {type(v).__name__}")
+    return float(v)
+
+
 def _positive_tol(tol) -> float:
     """tol converted once with float(); what that refuses, and a tol that is
     not positive and finite, is a ValueError."""
@@ -58,13 +66,13 @@ def _real(a, what: str) -> np.ndarray:
     """a as a float64 array.  What float() refuses (None, an object, an
     integer past double range, a string that is not a number), ragged
     nesting and complex a, not its real part, are a ValueError that names
-    what; float() reads object entries, as astype reads None as NaN."""
+    what; _float() reads object entries, as astype reads None as NaN."""
     try:
         a = np.asarray(a)
         if a.dtype.kind not in "Oc":
             return a.astype(float, copy=False)
         if a.dtype.kind == "O":
-            return np.asarray(np.frompyfunc(float, 1, 1)(a)).astype(float)
+            return np.asarray(np.frompyfunc(_float, 1, 1)(a)).astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be real numbers ({exc})") from None
     raise ValueError(f"{what} must be real numbers, not {a.dtype}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mat3 import Mat3, Vec3, _real, max_abs, trace
+from .mat3 import Mat3, Vec3, _float, _real, max_abs, trace
 
 CLASS_IDS = ("F1", "F4", "F5", "F8", "F9", "F10", "F11")
 TWO_PARAMETER_CLASSES = ("F1", "F11")
@@ -116,7 +116,7 @@ class ClassParams:
         # stored as Python floats, so arithmetic past double range gives inf
         # rather than a numpy warning
         try:
-            alpha, beta = float(self.alpha), float(self.beta)
+            alpha, beta = _float(self.alpha), _float(self.beta)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(
                 f"class parameters must be real numbers (alpha={self.alpha!r}, beta={self.beta!r})"

@@ -16,8 +16,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from paralie.expengine import closed_form
+from paralie.expengine import closed_form, para_sasakian_group
 from paralie.levicivita import classify_manifold, connection_coeffs, f_tensor
 from paralie.lie import adjoint_rep, class_algebra, jacobi_defect, structure_constants
 from paralie.mat3 import expm_oracle
@@ -194,6 +196,11 @@ def test_complex_input_is_refused_not_read_as_its_real_part():
             for bad in (c + 1j, c + 0j, (c + 1j).tolist(), c.astype(np.complex64)):
                 with pytest.raises(ValueError, match="must be real numbers, not complex"):
                     call(bad)
+            # one numpy complex scalar among Python floats
+            bad = c.astype(object)
+            bad[0, 1, 2] = np.complex128(c[0, 1, 2])
+            with pytest.raises(ValueError, match="must be real numbers"):
+                call(bad)
 
 
 def test_none_entries_are_refused_as_not_real_numbers_not_as_nan():
@@ -328,3 +335,82 @@ def test_jacobi_defect_checks_the_constants():
     for c, rule in cases:
         with pytest.raises(ValueError, match=f"structure constants must be {rule}"):
             jacobi_defect(c)
+
+
+# Scalars of every kind the API can be handed: half of them Python floats
+# (NaN, +-inf and subnormals included), the rest floats at the ends of
+# double range, ints past it, numpy scalars, strings, None and complex values
+SCALARS = st.one_of(st.floats(), st.one_of(
+    st.sampled_from([5e-324, -2.2250738585072014e-308, 1e154, -1e300, 1.7976931348623157e308]),
+    st.integers(-(2**1100), 2**1100),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.complex_numbers(),
+    st.complex_numbers().map(np.complex128),
+    st.complex_numbers(width=64).map(np.complex64),
+    st.text(max_size=4),
+    st.sampled_from(["1.5", "-0", "nan", "-inf", "1e400"]),
+    st.none(),
+))
+
+
+def finite_real(v):
+    """The value the API must take v at: float(v) where that is a finite
+    real number; None where the API must refuse v."""
+    if isinstance(v, (complex, np.complexfloating)):
+        return None
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return x if math.isfinite(x) else None
+
+
+def returned(fn, *args):
+    """fn(*args), or None where it raises ValueError; any other exception
+    (a TypeError, a struct.error, a warning) fails the test."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return None
+
+
+def assert_fresh_float64(m, shape):
+    assert type(m) is np.ndarray and m.dtype == np.float64 and m.shape == shape
+    assert m.flags.c_contiguous and m.flags.writeable
+
+
+@given(st.sampled_from(("F0",) + CLASS_IDS), SCALARS, SCALARS, st.tuples(SCALARS, SCALARS, SCALARS))
+# F1's A does not read the first coordinate, so only _coordinates refuses it
+# there; numpy's complex scalars are read as their real part by float()
+@example("F1", 1.0, 1.0, (math.nan, 0.5, -2.0))
+@example("F11", np.complex128(1.0), 0.5, (0.5, 1.0, -2.0))
+@example("F8", 1.0, 0.0, (0.5, np.complex64(1.0), -2.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_fuzz_closed_form_para_sasakian_group_and_class_algebra(cid, alpha, beta, coords):
+    # each call returns writable float64 arrays, finite where the contract
+    # says so, or raises ValueError, and raises it on every input that is
+    # not a finite real number
+    coords_ok = all(finite_real(x) is not None for x in coords)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = returned(ClassParams, cid, alpha, beta)
+        al, bt = finite_real(alpha), finite_real(beta)
+        assert (p is None) == (al is None or bt is None or cid == "F0" and (al, bt) != (0.0, 0.0))
+        results = [returned(para_sasakian_group, *coords)]
+        if p is not None:
+            c = class_algebra(p)
+            assert_fresh_float64(c, (3, 3, 3))
+            # 2 alpha past double range is inf in F8's algebra
+            assert np.isfinite(c).all() or cid == "F8" and math.isinf(2.0 * p.alpha)
+            res = returned(closed_form, p, *coords)
+            assert res is None or cid != "F0"
+            results.append(res)
+    for res in results:
+        assert res is None or coords_ok
+        if res is not None:
+            for m in (res.A, res.expA):
+                assert_fresh_float64(m, (3, 3))
+                assert np.isfinite(m).all()
+            assert not np.shares_memory(res.A, res.expA)

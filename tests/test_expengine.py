@@ -10,10 +10,10 @@ import pytest
 from paralie import expengine
 from paralie.cli import main
 from paralie.expengine import _EXP_SOURCE, _PLANS, closed_form, para_sasakian_group
-from paralie.lie import adjoint_rep, class_algebra
+from paralie.lie import _TERMS, adjoint_rep, class_algebra
 from paralie.mat3 import expm_oracle, max_abs, trace, trace_sq
 from paralie.structure import CLASS_IDS, ClassParams
-from reference import annihilator
+from reference import _adjoint_entries, annihilator
 
 QUADRATIC = ("F1", "F5", "F11")
 CUBIC = ("F4", "F8", "F9", "F10")
@@ -426,16 +426,37 @@ def kernel(source, cid):
 
 def planned_entries(source, cid):
     """The flat indices where class cid's kernel sets exp(A): the entries of
-    its expA = np.array((...)) that are names it assigns.  Every other entry
-    must be the literal of the identity's entry."""
+    exp(A) that are names it assigns.  A kernel packs A's nine entries and
+    then exp(A)'s into one array, _pack_into(buf, 0, ...); F8 builds
+    expA = np.array((...)) instead.  Every other entry of exp(A) must be the
+    literal of the identity's entry, and the packed A must name exactly the
+    entries lie._TERMS makes nonzero, each at its own index, and hold +0.0
+    everywhere else."""
     fn = kernel(source, cid)
     assigned = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
                 for target in node.targets if isinstance(target, ast.Name)}
-    (build,) = [node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
-                and [ast.unparse(target) for target in node.targets] == ["expA"]]
-    assert ast.unparse(build.func) == "np.array", cid
+    packs = [node for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_pack_into"]
+    if packs:
+        (pack,) = packs
+        assert [ast.unparse(arg) for arg in pack.args[:2]] == ["buf", "0"], cid
+        values = pack.args[2:]
+        assert len(values) == 18, cid
+        nonzero = {n for _, n, _ in _TERMS[cid]}
+        for n, entry in enumerate(values[:9]):
+            if n in nonzero:
+                assert isinstance(entry, ast.Name) and entry.id == f"a{n}", (cid, n)
+                assert entry.id in assigned, (cid, n)
+            else:
+                assert isinstance(entry, ast.Constant) and repr(entry.value) == "0.0", (cid, n)
+        exp_a = values[9:]
+    else:
+        (build,) = [node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                    and [ast.unparse(target) for target in node.targets] == ["expA"]]
+        assert ast.unparse(build.func) == "np.array", cid
+        exp_a = build.args[0].elts
     planned = set()
-    for n, entry in enumerate(build.args[0].elts):
+    for n, entry in enumerate(exp_a):
         if isinstance(entry, ast.Name) and entry.id in assigned:
             planned.add(n)
         else:
@@ -451,13 +472,14 @@ def plan_indices(cid):
 
 def test_generated_kernels_set_exp_a_exactly_on_the_plan():
     # each kernel assigns exp(A) at its plan's indices and leaves E's literal
-    # everywhere else; only F8 forms A^2 in numpy; the text is reproducible
+    # everywhere else; only F8 forms A^2 in numpy, and only F8 builds its
+    # arrays with np.array; the text is reproducible
     assert expengine._exp_source() == _EXP_SOURCE
     for cid in CLASS_IDS:
         assert planned_entries(_EXP_SOURCE, cid) == plan_indices(cid), cid
         calls = {ast.unparse(node.func) for node in ast.walk(kernel(_EXP_SOURCE, cid))
                  if isinstance(node, ast.Call)}
-        assert ("np.dot" in calls) == (cid == "F8"), cid
+        assert ("np.dot" in calls) == ("np.array" in calls) == (cid == "F8"), cid
 
 
 def test_plan_check_catches_a_generator_that_drops_an_entry(monkeypatch):
@@ -470,6 +492,42 @@ def test_plan_check_catches_a_generator_that_drops_an_entry(monkeypatch):
         for k in range(len(entries)):
             monkeypatch.setitem(expengine._PLANS, cid, (factor, entries[:k] + entries[k + 1:]))
             assert planned_entries(expengine._exp_source(), cid) == want - {entries[k][0]}, cid
+
+
+# --- the returned arrays ---------------------------------------------------------
+
+
+# (alpha = beta, coordinates) near double range where exp(A) is still finite
+NEAR_OVERFLOW = {"F8": (1.0, (1e153, 0.0, 0.0)), "F11": (1.0, (-1e300, 0.0, 0.0))}
+ARRAY_POINTS = [
+    (cid, point)
+    for cid in CLASS_IDS
+    for point in ((0.3, (0.5, 1.0, -2.0)), NEAR_OVERFLOW.get(cid, (1.0, (0.0, 1e300, 1e300))),
+                  (-0.0, (-0.0, -0.0, -0.0)))
+]
+
+
+@pytest.mark.parametrize("cid, point", ARRAY_POINTS)
+def test_returned_arrays_are_separate_writable_float64(cid, point):
+    # A and exp(A) share one buffer outside F8: each must still be a
+    # writable C-ordered float64 (3, 3) of its own, with np.array's bytes
+    alpha, coords = point
+    p = ClassParams(cid, alpha, alpha)
+    res = closed_form(p, *coords)
+    for m in (res.A, res.expA):
+        assert m.dtype == np.float64 and m.shape == (3, 3)
+        assert m.flags.c_contiguous and m.flags.writeable
+    assert not np.shares_memory(res.A, res.expA)
+    a_bytes, exp_bytes = res.A.tobytes(), res.expA.tobytes()
+    assert a_bytes == np.array(_adjoint_entries(p, *coords)).reshape(3, 3).tobytes()
+    assert exp_bytes == np.array(res.expA.tolist()).tobytes()
+    res.A[...] = 7.0
+    assert res.expA.tobytes() == exp_bytes
+    res.expA[...] = -7.0
+    assert (res.A == 7.0).all()
+    again = closed_form(p, *coords)
+    assert (again.A.tobytes(), again.expA.tobytes()) == (a_bytes, exp_bytes)
+    assert (res.A == 7.0).all() and (res.expA == -7.0).all()
 
 
 # --- JSON ------------------------------------------------------------------------
