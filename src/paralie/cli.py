@@ -22,17 +22,12 @@ from .lie import StructureConstants, class_algebra, jacobi_defect, structure_con
 from .mat3 import _positive_tol, expm_oracle, max_abs, trace, trace_sq
 from .structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams
 
-# Default verification grids: parameters for the families, frame coordinates
-# for the exponentials, and a denser signed grid for the classification
-# round trip.
-PARAM_GRID = (-2.0, -1.0, 0.5, 1.0, 2.0)
-COORD_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0)
-ROUNDTRIP_GRID = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
-
-# verify's grids by name: (parameters, coordinates, round-trip parameters)
+# verify's grids by name: parameters for the families, frame coordinates for
+# the exponentials, and a denser signed grid for the classification round trip
 GRIDS = {
     "small": ((-1.0, 1.0), (-1.0, 0.0, 1.0), (-1.0, 1.0)),
-    "full": (PARAM_GRID, COORD_GRID, ROUNDTRIP_GRID),
+    "full": ((-2.0, -1.0, 0.5, 1.0, 2.0), (-2.0, -1.0, 0.0, 1.0, 2.0),
+             (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)),
 }
 
 
@@ -49,7 +44,7 @@ def _grid_pairs(cid: str, grid) -> list[tuple[float, float]]:
     return [(alpha, beta) for alpha in grid for beta in betas]
 
 
-def run_exp_grid(param_grid=PARAM_GRID, coord_grid=COORD_GRID) -> dict[str, float]:
+def run_exp_grid(param_grid, coord_grid) -> dict[str, float]:
     """Closed form vs oracle over classes x _grid_pairs x coordinates.
 
     Returns the max residual per class.  beta sweeps the grid only for F1
@@ -72,7 +67,7 @@ def run_exp_grid(param_grid=PARAM_GRID, coord_grid=COORD_GRID) -> dict[str, floa
     return worst
 
 
-def run_roundtrip_grid(grid=ROUNDTRIP_GRID) -> dict[str, float]:
+def run_roundtrip_grid(grid) -> dict[str, float]:
     """Algebra -> connection -> tensor -> class round trip per class.
 
     Returned value is the max over _grid_pairs of parameter recovery error

@@ -28,8 +28,8 @@ floats, which never warn.
 Each call is nine numbers, so it runs on Python floats, in one straight-line
 function per class, its kernel.  The seven kernels are generated at import
 from the class's bracket terms (lie._TERMS, the list class_algebra writes)
-and its plan (_PLANS), and compiled from one source string kept for
-reading, _EXP_SOURCE, as levicivita does with its sums.  A kernel
+and compiled from one source string kept for reading, _EXP_SOURCE, as
+levicivita does with its sums.  A kernel
 
   * reads the coordinates with lie._coordinates;
   * forms A's structurally nonzero entries as named floats: each nonzero
@@ -50,21 +50,24 @@ x * 0.0 left out of tr A^2 is a signed zero, which moves at most the sign
 of a zero z that _cubic and the label read as zero, or NaN where x is not
 finite, and then exp(A) is not finite on x's entry either.
 
-The plan, read off the same terms at import, lists the entries where A or
-A^2 can be nonzero (three to six of the nine outside F8), and each is
-formed as E[n] + t*A[n] + u*A^2[n], left to right, with no term where A[n]
-or A^2[n] is a structural zero.  In F4, F9 and F10 every entry of A^2 is
-one product, A[l] * A[r], formed on the floats inside that entry's
+The generator runs A^2 and tr A^2 on A's entry names, with structural
+zeros left out, and reads the rest off that text.  The plan is every entry
+where A or A^2 is not a structural zero (three to six of the nine outside
+F8), and each is formed as E[n] + t*A[n] + u*A^2[n], left to right, with
+no term where A[n] or A^2[n] is a structural zero; F1, F5 and F11 form no
+A^2, which would overflow long before E + t*A.  In F4, F9 and F10 every
+entry of A^2 is one product, formed on the floats inside that entry's
 expression: a single product rounds the same whether or not BLAS fuses it
 with an add of zero.  The terms left out add exact zeros: E[n] + t*0.0 is
 E[n] where t is finite, and E[n] + t*A[n], never -0.0 as E[n] is +0.0 or
 1.0, is unchanged by u*(+0.0) where u is finite and not negative.  So the
-bits are those of E + t*A + u*A^2 on all nine, and F1, F5 and F11 form no
-A^2, which would overflow long before E + t*A.  Off the plan exp(A) is E's
-literal.  Only F8's A^2, whose diagonal sums two products, stays in numpy,
-on all nine entries: BLAS may fuse that sum in a way Python floats cannot
-repeat, and it is np.dot(A, A), the dgemm that A @ A runs, without the
-matmul ufunc's overhead.
+bits are those of E + t*A + u*A^2 on all nine.  Off the plan exp(A) is E's
+literal.  Where an entry of A^2 sums two products (F8's diagonal), A^2
+stays in numpy, on all nine entries: BLAS may fuse that sum in a way Python
+floats cannot repeat, and it is np.dot(A, A), the dgemm that A @ A runs,
+without the matmul ufunc's overhead.  The exact-zero label reads the
+entries of A that tr A^2 reads: zero_matrix where those are all of A's
+(F8), trA2_zero otherwise.
 """
 
 from __future__ import annotations
@@ -88,30 +91,6 @@ _E = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the identity's entries in 
 
 # A's nine entries, then exp(A)'s, written as native doubles into one array
 _pack_into = struct.Struct("18d").pack_into
-
-
-def _plan(cid: str) -> tuple:
-    """closed_form's plan for class cid: (factor, entries).
-
-    factor is _TRACE_FACTOR's, or None for the cubic classes.  entries are
-    (n, l, r), sorted by the flat index n, for every n where A or A^2 is
-    structurally nonzero, with A^2[n] = A[l] * A[r] in F4, F9 and F10.
-    Where closed_form needs no A^2 there (F1, F5, F11, and where A^2 is
-    zero), l = r is an entry of A that is always +0.0.  F8, whose A^2
-    diagonal sums two products, gets None: all nine, with np.dot(A, A).
-    """
-    nonzero = sorted({n for _, n, _ in _TERMS[cid]})
-    zero = min(set(range(9)).difference(nonzero))
-    products = [] if cid in _TRACE_FACTOR else [
-        (l - l % 3 + r % 3, l, r) for l in nonzero for r in nonzero if l % 3 == r // 3]
-    pairs = {n: (l, r) for n, l, r in products}
-    if len(pairs) < len(products):  # an entry of A^2 sums two products
-        return None, None
-    return _TRACE_FACTOR.get(cid), tuple(
-        (n, *pairs.get(n, (zero, zero))) for n in sorted(pairs.keys() | set(nonzero)))
-
-
-_PLANS = {cid: _plan(cid) for cid in CLASS_IDS}
 
 
 @dataclass(eq=False)
@@ -164,11 +143,17 @@ _ZERO = _Src("0.0")
 
 def _kernel_source(cid: str) -> str:
     """The kernel _exp_<cid>(p, a, b, c) as Python source (module docstring)."""
-    factor, entries = _PLANS[cid]
+    factor = _TRACE_FACTOR.get(cid)
     terms = _TERMS[cid]
     w = _values(SimpleNamespace(alpha=_Src("al"), beta=_Src("bt")))
     nonzero = sorted({n for _, n, _ in terms})
     a = [_Src(f"a{n}") if n in nonzero else _ZERO for n in range(9)]
+    # A^2[3i + k] = sum over j of A[i][j] * A[j][k]; the quadratic classes form none
+    sq = [_ZERO] * 9 if factor is not None else [
+        a[n - n % 3] * a[n % 3] + a[n - n % 3 + 1] * a[n % 3 + 3] + a[n - n % 3 + 2] * a[n % 3 + 6]
+        for n in range(9)]
+    plan = [n for n in range(9) if a[n] != _ZERO or sq[n] != _ZERO]
+    dot = any(" + " in s for s in sq)  # an entry of A^2 sums two products
     entry_a = [f"    a{n} = 0.0" + "".join(f" - x{i} * {w[m]}" for i, k, m in terms if k == n)
                for n in nonzero]
     read = [f"    {x} = p.{name}" for x, name in (("al", "alpha"), ("bt", "beta"))
@@ -185,36 +170,35 @@ def _kernel_source(cid: str) -> str:
                  "        u = 0.0"]
         branch = '"generic" if k else "trace_zero"'
     else:
-        body += [f"    z = {0.5 * _trace_sq(a)}",
+        z = 0.5 * _trace_sq(a)
+        body += [f"    z = {z}",
                  "    if math.isfinite(z):",
                  "        try:",
                  "            t, u = _cubic(z)",
                  "        except OverflowError:  # exp(A) past double range",
                  "            t = u = math.nan"]
-        # z underflows before A does, so an exact zero is read on A: all of
-        # it for F8, otherwise the a*E0 block (rows and columns 1, 2) that
-        # carries tr A^2
-        read_zero = nonzero if entries is None else [n for n in (4, 5, 7, 8) if n in nonzero]
-        label = "zero_matrix" if entries is None else "trA2_zero"
-        branch = f'"generic" if {" or ".join(["z"] + [a[n] for n in read_zero])} else "{label}"'
-    if entries is None:  # F8: all nine, with numpy's A^2
+        # z underflows before A does, so an exact zero is read on the entries
+        # of A that z reads (the names a0..a8 are one digit each); where those
+        # are all of A's, the zero is A itself
+        read_zero = [a[n] for n in nonzero if a[n] in z]
+        label = "zero_matrix" if len(read_zero) == len(nonzero) else "trA2_zero"
+        branch = f'"generic" if {" or ".join(["z", *read_zero])} else "{label}"'
+    if dot:  # numpy's A^2, on all nine
         body += [f"        A = np.array(({', '.join(a)}))",
                  "        A.shape = (3, 3)",
                  f"        {', '.join(f's{n}' for n in range(9))} = np.dot(A, A).reshape(9).tolist()"]
-        square = [(n, f"s{n}") for n in range(9)]
-    else:
-        square = [(n, a[l] * a[r]) for n, l, r in entries]
+        sq = [s if s == _ZERO else _Src(f"s{n}") for n, s in enumerate(sq)]
     e = list(map(repr, _E))
-    for n, sq in square:
+    for n in plan:
         expr = [e[n]]
         if a[n] != _ZERO:
             expr.append(f"t * {a[n]}")
-        if sq != _ZERO:
-            expr.append(f"u * {sq}")
+        if sq[n] != _ZERO:
+            expr.append(f"u * {sq[n]}")
         body.append(f"        e{n} = {' + '.join(expr)}")
         e[n] = f"e{n}"
-    body.append(f"        if {' + '.join(f'0.0 * e{n}' for n, _ in square)} == 0.0:  # all finite")
-    if entries is None:
+    body.append(f"        if {' + '.join(f'0.0 * e{n}' for n in plan)} == 0.0:  # all finite")
+    if dot:
         body += [f"            expA = np.array(({', '.join(e)}))",
                  "            expA.shape = (3, 3)",
                  f"            return ExpResult(A, t, u, {branch}, expA)"]
@@ -243,10 +227,12 @@ def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:
     """Group element exp(a*E0 + b*E1 + c*E2) in the family labelled by p.
 
     Input must be one of the seven non-trivial classes; for F0 the
-    exponential is the identity and needs no formula.  Coordinates that
-    float() refuses or that are not finite, and an exponential past double
-    range, raise ValueError.
+    exponential is the identity and needs no formula.  A p that is not a
+    ClassParams, coordinates that float() refuses or that are not finite,
+    and an exponential past double range raise ValueError.
     """
+    if not isinstance(p, ClassParams):
+        raise ValueError(f"p must be a ClassParams, not {type(p).__name__}")
     kernel = _KERNELS.get(p.class_id)
     if kernel is None:
         raise ValueError(f"closed_form is defined for {CLASS_IDS}, not {p.class_id!r}")

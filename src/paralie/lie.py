@@ -106,7 +106,10 @@ def _values(p: ClassParams) -> tuple:
 
 
 def class_algebra(p: ClassParams) -> StructureConstants:
-    """Structure constants of the family labelled by p (F0 gives zeros)."""
+    """Structure constants of the family labelled by p (F0 gives zeros); a p
+    that is not a ClassParams is a ValueError."""
+    if not isinstance(p, ClassParams):
+        raise ValueError(f"p must be a ClassParams, not {type(p).__name__}")
     w = _values(p)
     c = [0.0] * 27
     for i, n, m in _TERMS[p.class_id]:

@@ -51,10 +51,10 @@ def _float(v) -> float:
 
 
 def _positive_tol(tol) -> float:
-    """tol converted once with float(); what that refuses, and a tol that is
-    not positive and finite, is a ValueError."""
+    """tol converted once with _float(), a float as it is; what that refuses,
+    and a tol that is not positive and finite, is a ValueError."""
     try:
-        tol = float(tol)
+        tol = tol if type(tol) is float else _float(tol)
     except (TypeError, ValueError, OverflowError):
         tol = math.nan
     if not 0.0 < tol < math.inf:

@@ -23,12 +23,16 @@ formed it before each class had a generated kernel: a loop over the bracket
 terms into a list of nine Python floats.  ``replaced_report`` is the
 verdict pass that classify_manifold ran on the 14 recovered parameters
 before one generated kernel formed the parameters, the verdict and the
-report in one function.
+report in one function.  ``kernel``, ``planned_entries`` and
+``square_terms`` read a generated closed_form kernel's text back: where it
+sets exp(A), and which A^2 term it adds to each entry.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -288,3 +292,77 @@ def replaced_report(coef: list, lee: LeeForms, tol: float) -> ClassReport:
     para_sasakian = verdict == ["F4"] and (
         abs(float(lee.theta[0]) - PARA_SASAKIAN_THETA0) <= PARA_SASAKIAN_TOL)
     return ClassReport(verdict or ["F0"], alpha, beta, lee, para_sasakian, params)
+
+
+def kernel(source: str, cid: str) -> ast.FunctionDef:
+    """The definition of class cid's kernel in source, parsed."""
+    return next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == f"_exp_{cid}")
+
+
+def planned_entries(source: str, cid: str) -> set:
+    """The flat indices where class cid's kernel sets exp(A): the entries of
+    exp(A) that are names it assigns.  A kernel packs A's nine entries and
+    then exp(A)'s into one array, _pack_into(buf, 0, ...); F8 builds
+    expA = np.array((...)) instead.  Every other entry of exp(A) must be the
+    literal of the identity's entry, and the packed A must name exactly the
+    entries lie._TERMS makes nonzero, each at its own index, and hold +0.0
+    everywhere else."""
+    fn = kernel(source, cid)
+    assigned = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    packs = [node for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_pack_into"]
+    if packs:
+        (pack,) = packs
+        assert [ast.unparse(arg) for arg in pack.args[:2]] == ["buf", "0"], cid
+        values = pack.args[2:]
+        assert len(values) == 18, cid
+        nonzero = {n for _, n, _ in _TERMS[cid]}
+        for n, entry in enumerate(values[:9]):
+            if n in nonzero:
+                assert isinstance(entry, ast.Name) and entry.id == f"a{n}", (cid, n)
+                assert entry.id in assigned, (cid, n)
+            else:
+                assert isinstance(entry, ast.Constant) and repr(entry.value) == "0.0", (cid, n)
+        exp_a = values[9:]
+    else:
+        (build,) = [node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                    and [ast.unparse(target) for target in node.targets] == ["expA"]]
+        assert ast.unparse(build.func) == "np.array", cid
+        exp_a = build.args[0].elts
+    planned = set()
+    for n, entry in enumerate(exp_a):
+        if isinstance(entry, ast.Name) and entry.id in assigned:
+            planned.add(n)
+        else:
+            assert isinstance(entry, ast.Constant), (cid, n)
+            assert repr(entry.value) == repr(float(np.eye(3).flat[n])), (cid, n)
+    return planned
+
+
+def square_terms(source: str, cid: str) -> list:
+    """(n, term) for every entry e<n> of exp(A) to which class cid's kernel
+    adds u * term, in the kernel's order: term is (l, r) where it is the
+    product a<l> * a<r> of two entries of A, or the name s<n> where it is
+    read off numpy's A^2.  Any other u term fails."""
+    terms = []
+    for node in ast.walk(kernel(source, cid)):
+        target = ast.unparse(node.targets[0]) if isinstance(node, ast.Assign) else ""
+        if not re.fullmatch(r"e\d", target):
+            continue
+        n = int(target[1])
+        for term in ast.walk(node.value):
+            if not (isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)
+                    and ast.unparse(term.left) == "u"):
+                continue
+            sq = term.right
+            if isinstance(sq, ast.Name):
+                assert sq.id == f"s{n}", (cid, n)
+                terms.append((n, sq.id))
+            else:
+                assert isinstance(sq, ast.BinOp) and isinstance(sq.op, ast.Mult), (cid, n)
+                factors = [ast.unparse(sq.left), ast.unparse(sq.right)]
+                assert all(re.fullmatch(r"a\d", f) for f in factors), (cid, n)
+                terms.append((n, (int(factors[0][1]), int(factors[1][1]))))
+    return terms

@@ -13,6 +13,7 @@ than read as its real part with numpy's ComplexWarning.
 import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,9 @@ from paralie.structure import (
 )
 
 NOT_FLOATS = (None, [1.0], "one", 10**400, -(10**400), object())
+# complex tols, which float() refuses (a Python complex) or reads as their
+# real part with numpy's ComplexWarning (a numpy complex scalar)
+COMPLEX_TOLS = (1e-15 + 0j, np.complex128(1e-3 + 5j), np.complex128(1e-15), np.complex64(1e-3))
 
 
 @pytest.mark.parametrize("cid", CLASS_IDS)
@@ -67,7 +71,7 @@ def test_closed_form_checks_the_class_before_the_coordinates():
 
 def test_classify_refuses_tol_float_refuses():
     c = class_algebra(ClassParams("F8", 1.0))
-    for tol in NOT_FLOATS + (0.0, -1.0, math.nan, math.inf):
+    for tol in NOT_FLOATS + (0.0, -1.0, math.nan, math.inf) + COMPLEX_TOLS:
         with pytest.raises(ValueError, match="tol must be positive"):
             classify_manifold(c, tol=tol)
 
@@ -88,7 +92,7 @@ def test_classify_checks_the_constants_before_tol():
 
 
 def test_expm_oracle_refuses_tol_float_refuses():
-    for tol in NOT_FLOATS + (0.0, -1.0, math.nan, math.inf):
+    for tol in NOT_FLOATS + (0.0, -1.0, math.nan, math.inf) + COMPLEX_TOLS:
         with pytest.raises(ValueError, match="tol must be positive"):
             expm_oracle(np.eye(3), tol=tol)
 
@@ -381,20 +385,31 @@ def assert_fresh_float64(m, shape):
     assert m.flags.c_contiguous and m.flags.writeable
 
 
-@given(st.sampled_from(("F0",) + CLASS_IDS), SCALARS, SCALARS, st.tuples(SCALARS, SCALARS, SCALARS))
+# p values that are not a ClassParams: each must be refused naming p, not
+# read attribute by attribute
+NOT_CLASS_PARAMS = (None, ("F4", 1.0, 0.0), "F4", 1.0, {"class_id": "F4", "alpha": 1.0},
+                    SimpleNamespace(class_id="F4", alpha=1.0, beta=0.0), ClassParams)
+
+
+@given(st.sampled_from(("F0",) + CLASS_IDS), SCALARS, SCALARS, st.tuples(SCALARS, SCALARS, SCALARS),
+       st.sampled_from(NOT_CLASS_PARAMS))
 # F1's A does not read the first coordinate, so only _coordinates refuses it
 # there; numpy's complex scalars are read as their real part by float()
-@example("F1", 1.0, 1.0, (math.nan, 0.5, -2.0))
-@example("F11", np.complex128(1.0), 0.5, (0.5, 1.0, -2.0))
-@example("F8", 1.0, 0.0, (0.5, np.complex64(1.0), -2.0))
+@example("F1", 1.0, 1.0, (math.nan, 0.5, -2.0), None)
+@example("F11", np.complex128(1.0), 0.5, (0.5, 1.0, -2.0), ("F4", 1.0, 0.0))
+@example("F8", 1.0, 0.0, (0.5, np.complex64(1.0), -2.0), None)
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_fuzz_closed_form_para_sasakian_group_and_class_algebra(cid, alpha, beta, coords):
+def test_fuzz_closed_form_para_sasakian_group_and_class_algebra(cid, alpha, beta, coords, not_p):
     # each call returns writable float64 arrays, finite where the contract
     # says so, or raises ValueError, and raises it on every input that is
-    # not a finite real number
+    # not a finite real number or, as p, not a ClassParams
     coords_ok = all(finite_real(x) is not None for x in coords)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="p must be a ClassParams"):
+            closed_form(not_p, *coords)
+        with pytest.raises(ValueError, match="p must be a ClassParams"):
+            class_algebra(not_p)
         p = returned(ClassParams, cid, alpha, beta)
         al, bt = finite_real(alpha), finite_real(beta)
         assert (p is None) == (al is None or bt is None or cid == "F0" and (al, bt) != (0.0, 0.0))

@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 
 from paralie import expengine
 from paralie.cli import main
-from paralie.expengine import _EXP_SOURCE, _PLANS, closed_form, para_sasakian_group
-from paralie.lie import _TERMS, adjoint_rep, class_algebra
+from paralie.expengine import _EXP_SOURCE, closed_form, para_sasakian_group
+from paralie.lie import adjoint_rep, class_algebra
 from paralie.mat3 import expm_oracle, max_abs, trace, trace_sq
 from paralie.structure import CLASS_IDS, ClassParams
-from reference import _adjoint_entries, annihilator
+from reference import _adjoint_entries, annihilator, kernel, planned_entries
 
 QUADRATIC = ("F1", "F5", "F11")
 CUBIC = ("F4", "F8", "F9", "F10")
@@ -418,80 +419,49 @@ def test_closed_form_agrees_with_annihilator_reconstruction(cid):
 # --- the generated kernels ---------------------------------------------------------
 
 
-def kernel(source, cid):
-    """The definition of class cid's kernel in source, parsed."""
-    return next(node for node in ast.parse(source).body
-                if isinstance(node, ast.FunctionDef) and node.name == f"_exp_{cid}")
+def structural_pattern(cid):
+    """The flat indices where A or A @ A is nonzero, over a few generic
+    parameters and coordinates: adjoint_rep on class_algebra, numpy's square."""
+    nonzero = set()
+    for alpha, beta, *coords in ((1.3, -0.7, 0.9, -1.1, 1.7), (-0.6, 1.9, -1.3, 0.6, 0.8)):
+        a = adjoint_rep(class_algebra(ClassParams(cid, alpha, beta)), *coords)
+        nonzero |= set(np.flatnonzero(a).tolist()) | set(np.flatnonzero(a @ a).tolist())
+    return nonzero
 
 
-def planned_entries(source, cid):
-    """The flat indices where class cid's kernel sets exp(A): the entries of
-    exp(A) that are names it assigns.  A kernel packs A's nine entries and
-    then exp(A)'s into one array, _pack_into(buf, 0, ...); F8 builds
-    expA = np.array((...)) instead.  Every other entry of exp(A) must be the
-    literal of the identity's entry, and the packed A must name exactly the
-    entries lie._TERMS makes nonzero, each at its own index, and hold +0.0
-    everywhere else."""
+def drop_entry(source, cid, n):
+    """Class cid's kernel in source, as a generator that left entry n off
+    exp(A)'s plan would write it: no e<n> line, no finiteness term, and the
+    identity's literal where exp(A)'s array is built."""
     fn = kernel(source, cid)
-    assigned = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
-                for target in node.targets if isinstance(target, ast.Name)}
-    packs = [node for node in ast.walk(fn)
-             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_pack_into"]
-    if packs:
-        (pack,) = packs
-        assert [ast.unparse(arg) for arg in pack.args[:2]] == ["buf", "0"], cid
-        values = pack.args[2:]
-        assert len(values) == 18, cid
-        nonzero = {n for _, n, _ in _TERMS[cid]}
-        for n, entry in enumerate(values[:9]):
-            if n in nonzero:
-                assert isinstance(entry, ast.Name) and entry.id == f"a{n}", (cid, n)
-                assert entry.id in assigned, (cid, n)
-            else:
-                assert isinstance(entry, ast.Constant) and repr(entry.value) == "0.0", (cid, n)
-        exp_a = values[9:]
-    else:
-        (build,) = [node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
-                    and [ast.unparse(target) for target in node.targets] == ["expA"]]
-        assert ast.unparse(build.func) == "np.array", cid
-        exp_a = build.args[0].elts
-    planned = set()
-    for n, entry in enumerate(exp_a):
-        if isinstance(entry, ast.Name) and entry.id in assigned:
-            planned.add(n)
-        else:
-            assert isinstance(entry, ast.Constant), (cid, n)
-            assert repr(entry.value) == repr(float(np.eye(3).flat[n])), (cid, n)
-    return planned
-
-
-def plan_indices(cid):
-    entries = _PLANS[cid][1]
-    return set(range(9)) if entries is None else {n for n, _, _ in entries}
+    text = "\n".join(line for line in ast.get_source_segment(source, fn).splitlines()
+                     if not line.lstrip().startswith(f"e{n} = "))
+    text = re.sub(rf" \+ 0\.0 \* e{n}\b|\b0\.0 \* e{n} \+ ", "", text)
+    return re.sub(rf"\be{n}\b", repr(float(np.eye(3).flat[n])), text) + "\n"
 
 
 def test_generated_kernels_set_exp_a_exactly_on_the_plan():
-    # each kernel assigns exp(A) at its plan's indices and leaves E's literal
-    # everywhere else; only F8 forms A^2 in numpy, and only F8 builds its
-    # arrays with np.array; the text is reproducible
+    # each kernel assigns exp(A) where A or A @ A is nonzero and leaves E's
+    # literal everywhere else; only F8 forms A^2 in numpy, and only F8
+    # builds its arrays with np.array; the text is reproducible
     assert expengine._exp_source() == _EXP_SOURCE
     for cid in CLASS_IDS:
-        assert planned_entries(_EXP_SOURCE, cid) == plan_indices(cid), cid
+        assert planned_entries(_EXP_SOURCE, cid) == structural_pattern(cid), cid
         calls = {ast.unparse(node.func) for node in ast.walk(kernel(_EXP_SOURCE, cid))
                  if isinstance(node, ast.Call)}
         assert ("np.dot" in calls) == ("np.array" in calls) == (cid == "F8"), cid
 
 
-def test_plan_check_catches_a_generator_that_drops_an_entry(monkeypatch):
-    # the check above fails on source generated with one planned entry left
+def test_plan_check_catches_a_generator_that_drops_an_entry():
+    # the check above fails on kernel text with one planned entry left
     # out: that entry is E's literal, and planned_entries no longer matches
-    for cid, (factor, entries) in _PLANS.items():
-        if entries is None:  # F8 sets all nine
-            continue
-        want = plan_indices(cid)
-        for k in range(len(entries)):
-            monkeypatch.setitem(expengine._PLANS, cid, (factor, entries[:k] + entries[k + 1:]))
-            assert planned_entries(expengine._exp_source(), cid) == want - {entries[k][0]}, cid
+    for cid in CLASS_IDS:
+        want = structural_pattern(cid)
+        for n in sorted(want):
+            dropped = drop_entry(_EXP_SOURCE, cid, n)
+            compile(dropped, "<dropped>", "exec")
+            assert f"e{n}" not in dropped, (cid, n)
+            assert planned_entries(dropped, cid) == want - {n}, (cid, n)
 
 
 # --- the returned arrays ---------------------------------------------------------

@@ -48,12 +48,12 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from paralie.expengine import _PLANS, _plan, closed_form
+from paralie.expengine import _EXP_SOURCE, _TRACE_FACTOR, closed_form
 from paralie.levicivita import classify_manifold
 from paralie.lie import _TERMS, adjoint_rep, class_algebra
 from paralie.mat3 import trace_sq
 from paralie.structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams, standard_structure
-from reference import _adjoint_entries, class_pattern
+from reference import _adjoint_entries, class_pattern, planned_entries, square_terms
 
 UNIT = Fraction(1, 2**53)
 E = np.eye(3, dtype=int).astype(object)
@@ -391,17 +391,18 @@ def test_square_is_single_products_in_f4_f9_f10():
     # closed_form squares A on Python floats where each entry of A^2 is one
     # product, derived from A's nonzero pattern: one product rounds the same
     # whether BLAS fuses it with an add of zero or not.  F8's diagonal sums
-    # two products, so F8 keeps A @ A.
-    cubic = {cid: entries for cid, (factor, entries) in _PLANS.items() if factor is None}
-    assert {cid for cid, entries in cubic.items() if entries} == {"F4", "F9", "F10"}
-    assert set(cubic) == {"F4", "F8", "F9", "F10"} and cubic["F8"] is None
-    for cid, entries in cubic.items():
-        if entries:
-            planned = [n for n, _, _ in entries]
-            assert len(planned) == len(set(planned)), cid
+    # two products, so F8 keeps A @ A.  The products are read off the kernels.
+    cubic = {cid: square_terms(_EXP_SOURCE, cid) for cid in CLASS_IDS if cid not in _TRACE_FACTOR}
+    single = {cid for cid, terms in cubic.items()
+              if terms and all(isinstance(term, tuple) for _, term in terms)}
+    assert single == {"F4", "F9", "F10"}
+    assert set(cubic) == {"F4", "F8", "F9", "F10"}
+    for cid, terms in cubic.items():
+        squared = [n for n, _ in terms]
+        assert len(squared) == len(set(squared)), cid
     f8 = {n for _, n, _ in _TERMS["F8"]}
     assert sum(l in f8 and r in f8 for l, r in ((1, 3), (2, 6))) == 2  # A^2[0][0]
-    assert _plan("F8") == (None, None)
+    assert cubic["F8"] == [(n, f"s{n}") for n in range(9)]  # np.dot(A, A) on all nine
     # the products are A @ A on every entry, zeros included
     rng = np.random.default_rng(163)
     for cid in ("F4", "F9", "F10"):
@@ -409,7 +410,7 @@ def test_square_is_single_products_in_f4_f9_f10():
             v = _adjoint_entries(ClassParams(cid, alpha), *coords)
             a = np.array(v).reshape(3, 3)
             square = [0.0] * 9
-            for n, l, r in cubic[cid]:
+            for n, (l, r) in cubic[cid]:
                 square[n] = v[l] * v[r]
             with np.errstate(over="ignore", invalid="ignore"):
                 want = (a @ a).reshape(9) + 0.0
@@ -422,21 +423,17 @@ def test_square_is_single_products_in_f4_f9_f10():
 
 
 def test_plan_is_the_structural_pattern_of_a_and_its_square():
-    # closed_form evaluates exp(A) only on its plan's entries and leaves E
-    # elsewhere: the plan must be every entry where A or A @ A is nonzero
-    # for generic parameters and coordinates, and no other.  In F4, F9 and
-    # F10 each planned pair must give A @ A at its entry, zero included;
-    # in F1, F5 and F11, where u = 0, each pair must read entries of A that
-    # are +0.0, so that u * (A[l] * A[r]) adds +0.0 and reads no A^2
+    # closed_form evaluates exp(A) only on its kernel's planned entries and
+    # leaves E elsewhere: they must be every entry where A or A @ A is
+    # nonzero for generic parameters and coordinates, and no other.  In F4,
+    # F9 and F10 each product the kernel reads must give A @ A at its entry;
+    # in F1, F5 and F11, where u = 0, any product it reads must be of
+    # entries of A that are +0.0, so that it adds +0.0 and reads no A^2
     rng = np.random.default_rng(164)
-    assert set(_PLANS) == set(CLASS_IDS)
-    for cid, (factor, entries) in _PLANS.items():
-        if entries is None:  # F8: np.dot(A, A) on all nine
-            planned, pairs, zeros = list(range(9)), (), ()
-        elif factor is None:  # F4, F9, F10
-            planned, pairs, zeros = [n for n, _, _ in entries], entries, ()
-        else:  # F1, F5, F11: no A^2
-            planned, pairs, zeros = [n for n, _, _ in entries], (), entries
+    for cid in CLASS_IDS:
+        planned = sorted(planned_entries(_EXP_SOURCE, cid))
+        terms = [(n, term) for n, term in square_terms(_EXP_SOURCE, cid) if isinstance(term, tuple)]
+        pairs, zeros = ((), terms) if cid in _TRACE_FACTOR else (terms, ())
         nonzero = np.zeros(9, dtype=bool)
         for alpha, beta, *coords in rng.choice([-1.0, 1.0], (50, 5)) * rng.uniform(0.5, 2.0, (50, 5)):
             p = ClassParams(cid, alpha, beta)
@@ -445,7 +442,7 @@ def test_plan_is_the_structural_pattern_of_a_and_its_square():
             assert v == a.reshape(9).tolist()
             square = (a @ a).reshape(9)
             nonzero |= (a.reshape(9) != 0.0) | (square != 0.0)
-            assert [v[l] * v[r] for n, l, r in pairs] == [square[n] for n, _, _ in pairs], cid
-            read = [v[i] for _, l, r in zeros for i in (l, r)]
+            assert [v[l] * v[r] for _, (l, r) in pairs] == [square[n] for n, _ in pairs], cid
+            read = [v[i] for _, lr in zeros for i in lr]
             assert np.array(read).tobytes() == bytes(8 * len(read)), cid  # +0.0 only
         assert planned == np.flatnonzero(nonzero).tolist(), cid
