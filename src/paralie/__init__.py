@@ -9,30 +9,23 @@ from .expengine import (
     para_sasakian_group,
 )
 from .levicivita import (
-    ConnectionCoeffs,
     NotALieAlgebraError,
     classify_manifold,
     connection_coeffs,
     f_tensor,
 )
 from .lie import (
-    StructureConstants,
     adjoint_rep,
     class_algebra,
     jacobi_defect,
     structure_constants,
 )
-from .mat3 import (
-    Mat3,
-    Vec3,
-    expm_oracle,
-)
+from .mat3 import expm_oracle
 from .structure import (
     CLASS_IDS,
     TWO_PARAMETER_CLASSES,
     ClassParams,
     ClassReport,
-    FTensor,
     LeeForms,
     PhiBasisStructure,
     check_structure,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .expengine import closed_form
 from .levicivita import NotALieAlgebraError, classify_manifold
-from .lie import StructureConstants, class_algebra, jacobi_defect, structure_constants
+from .lie import class_algebra, jacobi_defect, structure_constants
 from .mat3 import _positive_tol, expm_oracle, max_abs, trace, trace_sq
 from .structure import CLASS_IDS, TWO_PARAMETER_CLASSES, ClassParams
 
@@ -112,14 +112,17 @@ def table_rows(alpha: float, beta: float, a: float, b: float, c: float) -> list[
 # --- JSON input and output --------------------------------------------------
 
 
-def _read_constants(path: str) -> StructureConstants:
+def _read_constants(path: str) -> np.ndarray:
     """Constants from a JSON object {"C": ...} or {"class", "alpha", "beta"}."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:  # json's parser recurses once per level of nesting
+        raise ValueError("input JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("input JSON must be an object")
     if "C" in obj:

@@ -28,8 +28,8 @@ floats, which never warn.
 Each call is nine numbers, so it runs on Python floats, in one straight-line
 function per class, its kernel.  The seven kernels are generated at import
 from the class's bracket terms (lie._TERMS, the list class_algebra writes)
-and compiled from one source string kept for reading, _EXP_SOURCE, as
-levicivita does with its sums.  A kernel
+and compiled from one source string, _EXP_SOURCE, by _codegen, as
+levicivita's classification is.  A kernel
 
   * reads the coordinates with lie._coordinates;
   * forms A's structurally nonzero entries as named floats: each nonzero
@@ -42,7 +42,7 @@ levicivita does with its sums.  A kernel
   * forms exp(A) only on the plan, tests those entries for finiteness once,
     and writes A's nine entries and then exp(A)'s into one new (2, 3, 3)
     array with one struct pack_into: native doubles, copied bit for bit.
-    F8, which needs A as an array before exp(A), builds each with np.array.
+    F8, which squares A in numpy, writes A first and exp(A) after it.
 
 No entry of A is -0.0 (0.0 - y is +0.0 where y is a zero), so a sum that
 leaves out a structural +0.0 has the bits of the sum with it.  A product
@@ -64,10 +64,10 @@ E[n] where t is finite, and E[n] + t*A[n], never -0.0 as E[n] is +0.0 or
 bits are those of E + t*A + u*A^2 on all nine.  Off the plan exp(A) is E's
 literal.  Where an entry of A^2 sums two products (F8's diagonal), A^2
 stays in numpy, on all nine entries: BLAS may fuse that sum in a way Python
-floats cannot repeat, and it is np.dot(A, A), the dgemm that A @ A runs,
-without the matmul ufunc's overhead.  The exact-zero label reads the
-entries of A that tr A^2 reads: zero_matrix where those are all of A's
-(F8), trA2_zero otherwise.
+floats cannot repeat, and it is np.dot(A, A) on the array's first half,
+the dgemm that A @ A runs, without the matmul ufunc's overhead.  The
+exact-zero label reads the entries of A that tr A^2 reads: zero_matrix
+where those are all of A's (F8), trA2_zero otherwise.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ._codegen import _ZERO, _Src, define
 from .lie import _TERMS, _coordinates, _values
-from .mat3 import Mat3, _trace_sq
+from .mat3 import _trace_sq
 from .structure import CLASS_IDS, ClassParams
 
 # k = factor * tr(A) for the quadratic-identity classes; the remaining
@@ -91,21 +92,22 @@ _E = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)  # the identity's entries in 
 
 # A's nine entries, then exp(A)'s, written as native doubles into one array
 _pack_into = struct.Struct("18d").pack_into
+_pack9_into = struct.Struct("9d").pack_into
 
 
 @dataclass(eq=False)
 class ExpResult:
     """One evaluated exponential: ingredients, diagnostic label, and the element.
 
-    Outside F8, A and expA are the two halves of one (2, 3, 3) array, each a
-    writable C-ordered (3, 3) view that shares no memory with the other.
+    A and expA are the two halves of one (2, 3, 3) array, each a writable
+    C-ordered (3, 3) view that shares no memory with the other.
     """
 
-    A: Mat3
+    A: np.ndarray
     t: float
     u: float
     branch: str  # generic, or the exact zero hit: trace_zero | trA2_zero | zero_matrix
-    expA: Mat3
+    expA: np.ndarray
 
 
 def _cubic(z: float) -> tuple[float, float]:
@@ -117,28 +119,6 @@ def _cubic(z: float) -> tuple[float, float]:
     f = math.sinh if z > 0.0 else math.sin
     fh = f(h) / h
     return f(r) / r, 0.5 * fh * fh
-
-
-class _Src(str):
-    """Python source of a float, written by running the arithmetic that forms
-    it: lie._values on the names al and bt, A^2 and the traces on A's
-    entries.  _ZERO is a structural zero of A, which a product or a sum
-    leaves out; every other sum and product is parenthesized."""
-
-    def __add__(self, other):
-        return other if self == _ZERO else self if other == _ZERO else _Src(f"({self} + {other})")
-
-    def __mul__(self, other):
-        return _ZERO if _ZERO in (self, other) else _Src(f"({self} * {other})")
-
-    def __rmul__(self, other):  # a float coefficient
-        return self if other == 1.0 else _Src(f"({other!r} * {self})")
-
-    def __neg__(self):
-        return _Src(f"-{self}")
-
-
-_ZERO = _Src("0.0")
 
 
 def _kernel_source(cid: str) -> str:
@@ -183,10 +163,10 @@ def _kernel_source(cid: str) -> str:
         read_zero = [a[n] for n in nonzero if a[n] in z]
         label = "zero_matrix" if len(read_zero) == len(nonzero) else "trA2_zero"
         branch = f'"generic" if {" or ".join(["z", *read_zero])} else "{label}"'
-    if dot:  # numpy's A^2, on all nine
-        body += [f"        A = np.array(({', '.join(a)}))",
-                 "        A.shape = (3, 3)",
-                 f"        {', '.join(f's{n}' for n in range(9))} = np.dot(A, A).reshape(9).tolist()"]
+    if dot:  # numpy's A^2, on all nine, of A written into buf[0]
+        body += ["        buf = np.empty((2, 3, 3))",
+                 f"        _pack9_into(buf, 0, {', '.join(a)})",
+                 f"        {', '.join(f's{n}' for n in range(9))} = np.dot(buf[0], buf[0]).reshape(9).tolist()"]
         sq = [s if s == _ZERO else _Src(f"s{n}") for n, s in enumerate(sq)]
     e = list(map(repr, _E))
     for n in plan:
@@ -198,14 +178,12 @@ def _kernel_source(cid: str) -> str:
         body.append(f"        e{n} = {' + '.join(expr)}")
         e[n] = f"e{n}"
     body.append(f"        if {' + '.join(f'0.0 * e{n}' for n in plan)} == 0.0:  # all finite")
-    if dot:
-        body += [f"            expA = np.array(({', '.join(e)}))",
-                 "            expA.shape = (3, 3)",
-                 f"            return ExpResult(A, t, u, {branch}, expA)"]
+    if dot:  # exp(A) into buf[1], 72 bytes in
+        body.append(f"            _pack9_into(buf, 72, {', '.join(e)})")
     else:  # A and exp(A), the two halves of one array
         body += ["            buf = np.empty((2, 3, 3))",
-                 f"            _pack_into(buf, 0, {', '.join(a + e)})",
-                 f"            return ExpResult(buf[0], t, u, {branch}, buf[1])"]
+                 f"            _pack_into(buf, 0, {', '.join(a + e)})"]
+    body.append(f"            return ExpResult(buf[0], t, u, {branch}, buf[1])")
     body.append('    raise ValueError("exponential overflows double precision at these parameters")')
     return "\n".join(body) + "\n"
 
@@ -216,11 +194,10 @@ def _exp_source() -> str:
     return "".join(_kernel_source(cid) + "\n\n" for cid in CLASS_IDS) + f"_KERNELS = {{{table}}}\n"
 
 
-# closed_form's kernels, generated and compiled once; the text is kept for
-# reading.  Overflow ends in the one raise at the end of a kernel, outside
-# the except, so the ValueError carries no OverflowError as context.
+# Overflow ends in the one raise at the end of a kernel, outside the
+# except, so the ValueError carries no OverflowError as context.
 _EXP_SOURCE = _exp_source()
-exec(compile(_EXP_SOURCE, "<_EXP_SOURCE>", "exec"), globals())  # defines _KERNELS
+define(_EXP_SOURCE, "<paralie.expengine._EXP_SOURCE>", globals())  # defines _KERNELS
 
 
 def closed_form(p: ClassParams, a: float, b: float, c: float) -> ExpResult:

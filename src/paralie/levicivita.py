@@ -16,9 +16,9 @@ table is the one per-class table.
 
 After the gate, classify_manifold is one straight-line function, its
 kernel, generated at import from the map's rows and CLASS_IDS and compiled
-from one source string kept for reading, _CLASSIFY_SOURCE, as expengine
-does with its exponentials.  It reads tol with mat3._positive_tol, forms
-each class's alpha and beta as named floats (a zero row, the beta of a
+from one source string, _CLASSIFY_SOURCE, by _codegen, as expengine's
+exponentials are.  It reads tol with mat3._positive_tol, forms each
+class's alpha and beta as named floats (a zero row, the beta of a
 one-parameter class, is the literal 0.0 and is never tested), builds params
 as one dict literal, decides the verdict and the dominant class in
 straight-line ifs in CLASS_IDS order, and builds the Lee forms as one array
@@ -31,14 +31,13 @@ import math
 
 import numpy as np
 
-from .lie import StructureConstants, _flat, _jacobi, _validated, class_algebra
+from ._codegen import _ZERO, _Src, define
+from .lie import _flat, _jacobi, _validated, class_algebra
 from .mat3 import _positive_tol, _real
 from .structure import _LEE, CLASS_IDS, PARA_SASAKIAN_THETA0, PARA_SASAKIAN_TOL, ClassParams
-from .structure import ClassReport, FTensor, LeeForms, standard_structure
+from .structure import ClassReport, LeeForms, standard_structure
 
 JACOBI_TOL = 1e-12
-
-ConnectionCoeffs = np.ndarray  # shape (3, 3, 3), Gamma[i][j][k]
 
 # Koszul's two gathers on the flat components: C[_IKJ] is C[i][k][j] and
 # C[_JKI] is C[j][k][i].
@@ -58,7 +57,7 @@ class NotALieAlgebraError(ValueError):
         super().__init__(f"Jacobi identity violated (defect {defect:.3e})")
 
 
-def _lie_algebra(c: StructureConstants) -> tuple[np.ndarray, list]:
+def _lie_algebra(c: np.ndarray) -> tuple[np.ndarray, list]:
     """The flat components of C, and its nine independent ones P, Q, R
     (flat[_INDEP]) as Python floats, once C is an algebra this package accepts.
 
@@ -78,7 +77,7 @@ def _lie_algebra(c: StructureConstants) -> tuple[np.ndarray, list]:
     return flat, pqr
 
 
-def connection_coeffs(c: StructureConstants) -> ConnectionCoeffs:
+def connection_coeffs(c: np.ndarray) -> np.ndarray:
     """Connection coefficients Gamma[i][j][k] = g(nabla_{e_i} e_j, e_k).
 
     Metric compatibility (antisymmetry in the last two slots) and
@@ -112,7 +111,7 @@ def _nabla_phi(gamma: np.ndarray) -> np.ndarray:
     return np.array(f).reshape(gamma.shape)
 
 
-def f_tensor(c: StructureConstants) -> FTensor:
+def f_tensor(c: np.ndarray) -> np.ndarray:
     """Frame components F[i][j][k] = g((nabla_{e_i} phi) e_j, e_k).
 
     phi is that of the standard structure on the orthonormal frame.  C is
@@ -165,13 +164,14 @@ _SUM_ORDER = {10: ("p2", "r0", "q1")}
 _ZERO_PAIR = (0.0, 0.0)
 
 
-def _sum(n: int, row: dict) -> str:
-    """Row n of _CLASSIFY ({variable: coefficient}) as a Python expression:
-    the nonzero terms, exact outside the subnormals, and + 0.0 to clear
-    -0.0; a zero row is the literal 0.0."""
-    terms = [x if row[x] == 1.0 else f"{row[x]!r} * {x}"
-             for x in _SUM_ORDER.get(n, _PQR) if row[x]]
-    return " + ".join(terms + ["0.0"]) if terms else "0.0"
+def _sum(n: int, row: dict) -> _Src:
+    """Row n of _CLASSIFY ({variable: coefficient}) summed on the names: the
+    nonzero terms, exact outside the subnormals, and + 0.0 to clear -0.0;
+    a zero row is _ZERO."""
+    s = _ZERO
+    for x in _SUM_ORDER.get(n, _PQR):
+        s = s + row[x] * _Src(x)
+    return s if s == _ZERO else _Src(f"{s} + 0.0")
 
 
 def _classify_source() -> str:
@@ -212,10 +212,10 @@ def _classify_source() -> str:
 # classify_manifold's kernel, generated and compiled once, as dataclasses
 # does its methods; the text is kept for reading.
 _CLASSIFY_SOURCE = _classify_source()
-exec(compile(_CLASSIFY_SOURCE, "<_CLASSIFY_SOURCE>", "exec"), globals())  # defines _classify
+define(_CLASSIFY_SOURCE, "<paralie.levicivita._CLASSIFY_SOURCE>", globals())  # defines _classify
 
 
-def classify_manifold(c: StructureConstants, tol: float = 1e-12) -> ClassReport:
+def classify_manifold(c: np.ndarray, tol: float = 1e-12) -> ClassReport:
     """Classify the manifold carried by a Lie algebra with orthonormal frame.
 
     C is checked as in connection_coeffs, then tol, the verdict threshold,

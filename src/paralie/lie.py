@@ -22,17 +22,15 @@ import struct
 
 import numpy as np
 
-from .mat3 import Mat3, _float, _real
+from .mat3 import _float, _real
 from .structure import ClassParams
-
-StructureConstants = np.ndarray  # shape (3, 3, 3), C[i][j][k]
 
 
 def _flat(i, j, k):
     return 9 * i + 3 * j + k
 
 
-def structure_constants(components) -> StructureConstants:
+def structure_constants(components) -> np.ndarray:
     """Validate a 3x3x3 array of bracket coefficients (antisymmetry included)."""
     flat = _real(components, "structure constants").ravel()
     _validated(flat.tolist())
@@ -58,7 +56,8 @@ def _antisymmetric(v: list) -> tuple[list, float]:
         (d00, d01, d02, p0, p1, p2, q0, q1, q2, mp0, mp1, mp2, d10, d11, d12, r0, r1, r2,
          mq0, mq1, mq2, mr0, mr1, mr2, d20, d21, d22) = v
     except ValueError:
-        raise _wrong_size(v) from None
+        raise ValueError(
+            f"structure constants must have 3 x 3 x 3 = 27 entries, not {len(v)}") from None
     if (mp0 != -p0 or mp1 != -p1 or mp2 != -p2 or mq0 != -q0 or mq1 != -q1 or mq2 != -q2
             or mr0 != -r0 or mr1 != -r1 or mr2 != -r2
             or d00 or d01 or d02 or d10 or d11 or d12 or d20 or d21 or d22):
@@ -67,10 +66,6 @@ def _antisymmetric(v: list) -> tuple[list, float]:
         raise ValueError("structure constants must be antisymmetric in (i, j)")
     m = max(abs(p0), abs(p1), abs(p2), abs(q0), abs(q1), abs(q2), abs(r0), abs(r1), abs(r2))
     return [p0, p1, p2, q0, q1, q2, r0, r1, r2], m
-
-
-def _wrong_size(v: list) -> ValueError:
-    return ValueError(f"structure constants must have 3 x 3 x 3 = 27 entries, not {len(v)}")
 
 
 # Per class, the terms (i, n, m) of its nonzero constants C[i][j][k], flat
@@ -105,7 +100,7 @@ def _values(p: ClassParams) -> tuple:
     return al, -al, 2.0 * al, -2.0 * al, bt, -bt
 
 
-def class_algebra(p: ClassParams) -> StructureConstants:
+def class_algebra(p: ClassParams) -> np.ndarray:
     """Structure constants of the family labelled by p (F0 gives zeros); a p
     that is not a ClassParams is a ValueError."""
     if not isinstance(p, ClassParams):
@@ -119,7 +114,7 @@ def class_algebra(p: ClassParams) -> StructureConstants:
     return out
 
 
-def jacobi_defect(c: StructureConstants) -> float:
+def jacobi_defect(c: np.ndarray) -> float:
     """Max-abs violation of the Jacobi identity; 0 for genuine Lie algebras.
 
     For finite, antisymmetric C in dimension three the identity has three
@@ -180,7 +175,7 @@ def _coordinates(a, b, c) -> tuple[float, float, float]:
     return x
 
 
-def adjoint_rep(c: StructureConstants, a: float, b: float, co: float) -> Mat3:
+def adjoint_rep(c: np.ndarray, a: float, b: float, co: float) -> np.ndarray:
     """Matrix of the element with coordinates (a, b, co) on the frame.
 
     The coordinates are read by _coordinates(), as closed_form reads them:

@@ -14,15 +14,12 @@ import math
 
 import numpy as np
 
-Mat3 = np.ndarray
-Vec3 = np.ndarray
 
-
-def trace(a: Mat3) -> float:
+def trace(a: np.ndarray) -> float:
     return float(a[0, 0] + a[1, 1] + a[2, 2])
 
 
-def trace_sq(a: Mat3) -> float:
+def trace_sq(a: np.ndarray) -> float:
     """tr(A @ A) as the sum of the products A[j,k] * A[k,j], not read off a
     formed square.
 
@@ -64,12 +61,13 @@ def _positive_tol(tol) -> float:
 
 def _real(a, what: str) -> np.ndarray:
     """a as a float64 array.  What float() refuses (None, an object, an
-    integer past double range, a string that is not a number), ragged
-    nesting and complex a, not its real part, are a ValueError that names
-    what; _float() reads object entries, as astype reads None as NaN."""
+    integer past double range, a string that is not a number, a datetime,
+    timedelta or void), ragged nesting and complex a, not its real part,
+    are a ValueError that names what; _float() reads object entries, as
+    astype reads None as NaN."""
     try:
         a = np.asarray(a)
-        if a.dtype.kind not in "Oc":
+        if a.dtype.kind not in "OcmMV":
             return a.astype(float, copy=False)
         if a.dtype.kind == "O":
             return np.asarray(np.frompyfunc(_float, 1, 1)(a)).astype(float)
@@ -93,7 +91,7 @@ ORACLE_MAX_NORM = 2.0**10
 _LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 
 
-def expm_oracle(a: Mat3, tol: float = 1e-15) -> Mat3:
+def expm_oracle(a: np.ndarray, tol: float = 1e-15) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring over a truncated series.
 
     The input is scaled by 2**-s until its max-abs norm is at most 1/2, the

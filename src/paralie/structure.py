@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mat3 import Mat3, Vec3, _float, _real, max_abs, trace
+from .mat3 import _float, _real, max_abs, trace
 
 CLASS_IDS = ("F1", "F4", "F5", "F8", "F9", "F10", "F11")
 TWO_PARAMETER_CLASSES = ("F1", "F11")
@@ -37,17 +37,15 @@ TWO_PARAMETER_CLASSES = ("F1", "F11")
 PARA_SASAKIAN_THETA0 = -2.0
 PARA_SASAKIAN_TOL = 1e-9
 
-FTensor = np.ndarray  # shape (3, 3, 3), F[i][j][k]
-
 
 @dataclass(frozen=True, eq=False)
 class PhiBasisStructure:
     """Frame data (phi, xi, eta, g) of the structure on the phi-basis."""
 
-    phi: Mat3
-    xi: Vec3
-    eta: Vec3
-    g: Mat3
+    phi: np.ndarray
+    xi: np.ndarray
+    eta: np.ndarray
+    g: np.ndarray
 
 
 def standard_structure() -> PhiBasisStructure:
@@ -65,10 +63,11 @@ def check_structure(s: PhiBasisStructure) -> dict[str, float]:
 
     Checked: phi^2 = I - eta (x) xi, eta(xi) = 1, eta o phi = 0,
     phi xi = 0, tr phi = 0, and g(phi x, phi y) = g(x, y) - eta(x) eta(y).
-    Each field is read by mat3._real and must be finite, phi and g 3x3 and
-    xi and eta 3-vectors; a residual past double range is a ValueError too.
+    Each field is read by mat3._real, a missing one as None, and must be
+    finite, phi and g 3x3 and xi and eta 3-vectors; a residual past double
+    range is a ValueError too.
     """
-    fields = {k: _real(getattr(s, k), k) for k in ("phi", "xi", "eta", "g")}
+    fields = {k: _real(getattr(s, k, None), k) for k in ("phi", "xi", "eta", "g")}
     for (k, a), shape in zip(fields.items(), ((3, 3), (3,), (3,), (3, 3))):
         if a.shape != shape or not np.all(np.isfinite(a)):
             raise ValueError(f"{k} must be finite, of shape {shape}")
@@ -96,9 +95,9 @@ class LeeForms:
     omega  = (0, F001, F002)
     """
 
-    theta: Vec3
-    theta_star: Vec3
-    omega: Vec3
+    theta: np.ndarray
+    theta_star: np.ndarray
+    omega: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -303,36 +303,32 @@ def kernel(source: str, cid: str) -> ast.FunctionDef:
 def planned_entries(source: str, cid: str) -> set:
     """The flat indices where class cid's kernel sets exp(A): the entries of
     exp(A) that are names it assigns.  A kernel packs A's nine entries and
-    then exp(A)'s into one array, _pack_into(buf, 0, ...); F8 builds
-    expA = np.array((...)) instead.  Every other entry of exp(A) must be the
+    then exp(A)'s into one array, buf: _pack_into(buf, 0, ...) writes all
+    18, and F8 writes the two halves with _pack9_into(buf, 0, ...) and
+    _pack9_into(buf, 72, ...).  Every other entry of exp(A) must be the
     literal of the identity's entry, and the packed A must name exactly the
     entries lie._TERMS makes nonzero, each at its own index, and hold +0.0
     everywhere else."""
     fn = kernel(source, cid)
     assigned = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
                 for target in node.targets if isinstance(target, ast.Name)}
-    packs = [node for node in ast.walk(fn)
-             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_pack_into"]
-    if packs:
-        (pack,) = packs
-        assert [ast.unparse(arg) for arg in pack.args[:2]] == ["buf", "0"], cid
-        values = pack.args[2:]
-        assert len(values) == 18, cid
-        nonzero = {n for _, n, _ in _TERMS[cid]}
-        for n, entry in enumerate(values[:9]):
-            if n in nonzero:
-                assert isinstance(entry, ast.Name) and entry.id == f"a{n}", (cid, n)
-                assert entry.id in assigned, (cid, n)
-            else:
-                assert isinstance(entry, ast.Constant) and repr(entry.value) == "0.0", (cid, n)
-        exp_a = values[9:]
-    else:
-        (build,) = [node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
-                    and [ast.unparse(target) for target in node.targets] == ["expA"]]
-        assert ast.unparse(build.func) == "np.array", cid
-        exp_a = build.args[0].elts
+    packs = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("_pack_into", "_pack9_into")]
+    values = []
+    for pack in sorted(packs, key=lambda node: ast.literal_eval(node.args[1])):
+        assert [ast.unparse(arg) for arg in pack.args[:2]] == ["buf", str(8 * len(values))], cid
+        assert len(pack.args) - 2 == {"_pack_into": 18, "_pack9_into": 9}[pack.func.id], cid
+        values += pack.args[2:]
+    assert len(values) == 18, cid
+    nonzero = {n for _, n, _ in _TERMS[cid]}
+    for n, entry in enumerate(values[:9]):
+        if n in nonzero:
+            assert isinstance(entry, ast.Name) and entry.id == f"a{n}", (cid, n)
+            assert entry.id in assigned, (cid, n)
+        else:
+            assert isinstance(entry, ast.Constant) and repr(entry.value) == "0.0", (cid, n)
     planned = set()
-    for n, entry in enumerate(exp_a):
+    for n, entry in enumerate(values[9:]):
         if isinstance(entry, ast.Name) and entry.id in assigned:
             planned.add(n)
         else:

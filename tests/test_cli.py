@@ -145,6 +145,17 @@ def test_classify_parse_failure_exit_2(tmp_path, capsys):
         assert "error" in err
 
 
+def test_classify_deeply_nested_json_exit_2(capsys, monkeypatch):
+    # json's parser recurses once per level: nesting past the recursion
+    # limit is a parse error, not a RecursionError traceback
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000))
+    code, out, err = run_cli(capsys, "classify", "-")
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err
+
+
 def test_classify_missing_file_exit_2(capsys):
     code, _, _ = run_cli(capsys, "classify", "/nonexistent/path.json")
     assert code == 2

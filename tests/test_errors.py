@@ -254,6 +254,19 @@ def test_string_and_ragged_constants_are_refused_as_not_real_numbers():
             expm_oracle(bad)
 
 
+def test_datetime_timedelta_and_void_arrays_are_refused_not_read_as_numbers():
+    # numpy's astype(float) reads these dtypes as numbers; float() refuses
+    # each of their scalars
+    for dtype in ("M8[s]", "m8[s]", "V8"):
+        for call in CONSTANTS_CALLS:
+            with pytest.raises(ValueError, match="structure constants must be real numbers, not"):
+                call(np.zeros((3, 3, 3), dtype))
+        with pytest.raises(ValueError, match="expm_oracle's matrix entries must be real numbers"):
+            expm_oracle(np.zeros((3, 3), dtype))
+        with pytest.raises(ValueError, match="g must be real numbers"):
+            check_structure(dataclasses.replace(standard_structure(), g=np.zeros((3, 3), dtype)))
+
+
 def test_adjoint_rep_checks_the_constants():
     # C is read as structure_constants reads it; an inf mirrored by -inf,
     # as class_algebra gives it past double range, still maps entrywise
@@ -314,6 +327,14 @@ def test_check_structure_refuses_fields_it_cannot_check():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 check_structure(dataclasses.replace(s, **{field: value}))
+
+
+def test_check_structure_names_a_missing_field():
+    # a field that is not there is refused as None is, naming the field
+    s = standard_structure()
+    for structure, field in ((None, "phi"), (SimpleNamespace(phi=s.phi, xi=s.xi, eta=s.eta), "g")):
+        with pytest.raises(ValueError, match=f"^{field} must be real numbers"):
+            check_structure(structure)
 
 
 def test_check_structure_past_double_range_is_a_value_error():
