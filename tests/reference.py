@@ -40,7 +40,7 @@ import numpy as np
 
 from paralie import levicivita
 from paralie.levicivita import _ZERO_PAIR, NotALieAlgebraError
-from paralie.lie import _TERMS, _coordinates, _flat, _ldexp, _values
+from paralie.lie import _TERMS, _coordinates, _flat, _values
 from paralie.mat3 import _positive_tol, max_abs, trace, trace_sq
 from paralie.structure import (
     _LEE,
@@ -217,6 +217,14 @@ def classify_by_projection(c, tol: float = 1e-12) -> Projection:
 
 
 _MIRROR = _JIK.tolist()
+
+
+def _ldexp(x: float, e: int) -> float:
+    # math.ldexp raises OverflowError past double range; inf instead
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def replaced_structure_constants(components):

@@ -21,7 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paralie.expengine import closed_form, para_sasakian_group
-from paralie.levicivita import classify_manifold, connection_coeffs, f_tensor
+from paralie import levicivita
+from paralie.levicivita import (
+    NotALieAlgebraError,
+    classify_manifold,
+    connection_coeffs,
+    f_tensor,
+)
 from paralie.lie import adjoint_rep, class_algebra, jacobi_defect, structure_constants
 from paralie.mat3 import expm_oracle
 from paralie.structure import (
@@ -450,3 +456,98 @@ def test_fuzz_closed_form_para_sasakian_group_and_class_algebra(cid, alpha, beta
                 assert_fresh_float64(m, (3, 3))
                 assert np.isfinite(m).all()
             assert not np.shares_memory(res.A, res.expA)
+
+
+# --- the structure constants' gate, fuzzed -------------------------------------
+
+# floats the gate reads differently: signed zeros, subnormals, the 2**1023
+# range rule and its neighbours, double range's end, NaN and +-inf
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.5, 5e307, 4e307,
+               2.0**1023, -(2.0**1023), math.nextafter(2.0**1023, 0.0), 1.7976931348623157e308,
+               math.inf, -math.inf, math.nan)
+VALUES = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+# not 27 entries, or not a nested sequence of numbers at all
+NOT_CONSTANTS = (None, "C", {"a": 1}, 1.0, [], [[0.0] * 3] * 3, [[[0.0] * 3] * 3] * 2)
+
+
+@st.composite
+def constants(draw):
+    """C as nested lists or an array: a Lie algebra (a sum of one or two
+    class algebras), antisymmetric constants or any 27 values, each perhaps
+    with one entry replaced by a scalar of any kind, then reshaped, cut
+    short, made ragged or replaced by something that is not constants."""
+    kind = draw(st.sampled_from(["lie", "antisymmetric", "any", "not constants"]))
+    if kind == "not constants":
+        return draw(st.sampled_from(NOT_CONSTANTS))
+    if kind == "lie":
+        c = np.zeros((3, 3, 3))
+        for cid, alpha, beta in draw(st.lists(st.tuples(
+                st.sampled_from(CLASS_IDS), VALUES.filter(math.isfinite), VALUES.filter(math.isfinite)),
+                min_size=1, max_size=2)):
+            with np.errstate(over="ignore"):  # a sum past double range is inf, as C may be
+                c = c + class_algebra(ClassParams(cid, alpha, beta))
+        flat = c.ravel().tolist()
+    elif kind == "antisymmetric":
+        flat = [0.0] * 27
+        for (i, j), (v0, v1, v2) in zip(((0, 1), (0, 2), (1, 2)), draw(st.lists(
+                st.tuples(VALUES, VALUES, VALUES), min_size=3, max_size=3))):
+            for k, v in enumerate((v0, v1, v2)):
+                flat[9 * i + 3 * j + k], flat[9 * j + 3 * i + k] = v, -v
+    else:
+        flat = draw(st.lists(VALUES, min_size=27, max_size=27))
+    if draw(st.integers(0, 3)) == 0:
+        flat[draw(st.integers(0, 26))] = draw(SCALARS)
+    form = draw(st.sampled_from(["nested", "nested", "array", "object array", "flat", "short", "ragged"]))
+    if form == "short":
+        return flat[:draw(st.integers(0, 26))]
+    nested = np.array(flat + [None], dtype=object)[:27].reshape(3, 3, 3).tolist()
+    if form == "ragged":
+        nested[draw(st.integers(0, 2))].pop()
+    if form == "array":
+        return returned(np.array, nested) if all(type(x) is float for x in flat) else nested
+    return {"object array": np.array(flat + [None], dtype=object)[:27].reshape(3, 3, 3),
+            "flat": flat}.get(form, nested)
+
+
+def refusal(fn, *args):
+    """None where fn(*args) returns, else the ValueError's type and message;
+    any other exception, or a warning, fails the test."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(constants(), st.one_of(st.sampled_from([1e-12, 0.5]), SCALARS))
+# F past double range where Gamma is not (CI's example), and an inf
+# mirrored by -inf, which adjoint_rep takes and the gate refuses
+@example((class_algebra(ClassParams("F10", math.nextafter(2.0**1023, 0.0)))
+          + class_algebra(ClassParams("F8", 4e307))).tolist(), 1e-12)
+@example(class_algebra(ClassParams("F8", 1e308)).tolist(), math.nan)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_fuzz_the_gate_on_the_structure_constants(c, tol):
+    # every reader of C returns or raises a ValueError; connection_coeffs,
+    # f_tensor and classify_manifold refuse the same C with the same error:
+    # structure_constants' where it refuses, else the Jacobi check's or the
+    # range rule's; only f_tensor refuses past double range on its own, and
+    # classify_manifold reads tol after C
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        read = refusal(structure_constants, c)
+        assert refusal(jacobi_defect, c) == read
+        mapped = refusal(adjoint_rep, c, 0.5, 1.0, -2.0)
+        assert mapped is None or mapped == read
+        gate = refusal(connection_coeffs, c)
+        assert refusal(f_tensor, c) in (gate, None if gate else (
+            ValueError, "F tensor overflows double precision at these constants"))
+        tol_ok = (finite_real(tol) or 0.0) > 0.0
+        assert refusal(classify_manifold, c, tol) == (
+            gate if gate or tol_ok else (ValueError, "tol must be positive"))
+        if read is not None:
+            assert gate == read
+        elif gate is not None:
+            defect = jacobi_defect(c)
+            assert gate == ((NotALieAlgebraError, f"Jacobi identity violated (defect {defect:.3e})")
+                            if defect > levicivita.JACOBI_TOL else (ValueError,
+                            "structure constants overflow double precision (max |C| >= 2**1023)"))

@@ -10,9 +10,10 @@ the edges of the para-Sasakian band, and a tol that is not positive and
 finite.  The expected verdicts are also stated, so that a defect shared by
 both sides fails too.
 
-Most cases call the kernel on the nine independent constants P, Q, R
-directly, which bypasses the Jacobi gate: the verdict is linear in them
-whether or not they form an algebra, so classes can be summed freely.
+Most cases call the kernel on antisymmetric constants built from the nine
+independent ones P, Q, R, with the Jacobi check switched off: the verdict
+is linear in them whether or not they form an algebra, so classes can be
+summed freely.
 """
 
 import math
@@ -50,9 +51,13 @@ def report_bytes(r):
 def classify(x, tol=TOL):
     """The kernel's report on P, Q, R, once it has matched the replaced
     pass on the matvec's parameters byte for byte."""
-    with warnings.catch_warnings():
+    c = np.zeros(27)
+    c[_INDEP] = x
+    c = c.reshape(3, 3, 3) - c.reshape(3, 3, 3).transpose(1, 0, 2)
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error")
-        got = levicivita._classify(x, tol)
+        patch.setattr(levicivita, "JACOBI_TOL", math.inf)  # any defect passes
+        got = levicivita._classify(c, tol)
     y = _CLASSIFY @ np.array(x) + 0.0
     want = replaced_report(y[:14].tolist(), LeeForms(y[14:17], y[17:20], y[20:]), tol)
     assert report_bytes(got) == report_bytes(want), (x, tol)
