@@ -1,35 +1,27 @@
 """The one writer and compiler of the generated kernels: expengine's
-exponentials and levicivita's connection, F tensor and classification run
-their arithmetic on _Src to write their source, and define compiles it
-where tracebacks, pdb and inspect.getsource can show its lines."""
+exponentials and levicivita's classification run their arithmetic on _Src
+to write their source, and define compiles it where tracebacks, pdb and
+inspect.getsource can show its lines."""
 
 import linecache
 
 
 class _Src(str):
     """Python source of a float, written by running the arithmetic that forms
-    it on names.  _ZERO is a structural zero, which a sum, a difference, a
-    product or a zero coefficient leaves out; every other sum, difference
-    and product is parenthesized.  A float operand is a coefficient, and
-    numpy runs the same methods on an object array of names."""
+    it on names.  _ZERO is a structural zero, which a sum, a product or a
+    zero coefficient leaves out; every other sum and product is parenthesized."""
 
     def __add__(self, other):
         return other if self == _ZERO else self if other == _ZERO else _Src(f"({self} + {other})")
 
-    def __sub__(self, other):
-        return -other if self == _ZERO else self if other == _ZERO else _Src(f"({self} - {other})")
-
     def __mul__(self, other):
-        if not isinstance(other, _Src):
-            return self.__rmul__(other)
         return _ZERO if _ZERO in (self, other) else _Src(f"({self} * {other})")
 
     def __rmul__(self, other):  # a float coefficient
-        return _ZERO if other == 0.0 or self == _ZERO else self if other == 1.0 else _Src(
-            f"({other!r} * {self})")
+        return _ZERO if other == 0.0 else self if other == 1.0 else _Src(f"({other!r} * {self})")
 
     def __neg__(self):
-        return self if self == _ZERO else _Src(f"-{self}")
+        return _Src(f"-{self}")
 
 
 _ZERO = _Src("0.0")

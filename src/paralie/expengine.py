@@ -29,7 +29,7 @@ Each call is nine numbers, so it runs on Python floats, in one straight-line
 function per class, its kernel.  The seven kernels are generated at import
 from the class's bracket terms (lie._TERMS, the list class_algebra writes)
 and compiled from one source string, _EXP_SOURCE, by _codegen, as
-levicivita's kernels are.  A kernel
+levicivita's classification is.  A kernel
 
   * reads the coordinates with lie._coordinates;
   * forms A's structurally nonzero entries as named floats: each nonzero

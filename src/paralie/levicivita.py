@@ -13,20 +13,19 @@ applies the composite once: a fixed (23, 9) matrix on the nine independent
 constants.  Its class patterns are F of lie.class_algebra at unit
 parameters, so the bracket table is the one per-class table.
 
-connection_coeffs, f_tensor and classify_manifold each run one straight-line
-function, a kernel, generated at import and compiled from its own source
-string (_CONNECTION_SOURCE, _F_TENSOR_SOURCE, _CLASSIFY_SOURCE) by _codegen,
-as expengine's exponentials are.  Each kernel opens with the same emitted
-prologue, the gate: C read once into Python floats, lie._checked (the one
-size, antisymmetry and finiteness check, which also gives max|C| and the
-Jacobi defect), the Jacobi test against JACOBI_TOL, read from this module,
-and the 2**1023 range rule.  Gamma's and F's kernels replay _koszul and
-_nabla_phi on the names of C's entries, as numpy runs them; classify's
-forms each class's alpha and beta from the map's rows as named floats (a
-zero row is the literal 0.0, never tested), reads tol with
-mat3._positive_tol, decides the verdict and the dominant class in
-straight-line ifs in CLASS_IDS order, and packs the Lee forms into one
-(3, 3) array whose rows are theta, theta* and omega.
+classify_manifold and connection_coeffs are straight-line functions, their
+kernels, generated at import and compiled from their source strings
+(_CLASSIFY_SOURCE, _CONNECTION_SOURCE) by _codegen, as expengine's
+exponentials are.  Both open with the same emitted prologue, the gate: C
+read once into Python floats, lie._validated (the size, antisymmetry and
+finiteness check), lie._jacobi tested against JACOBI_TOL, read from this
+module, and the 2**1023 range rule.  connection_coeffs then runs _koszul,
+and f_tensor runs _nabla_phi on its result.  classify_manifold forms each
+class's alpha and beta from the map's rows as named floats (a zero row is
+the literal 0.0, never tested), reads tol with mat3._positive_tol, decides
+the verdict and the dominant class in straight-line ifs in CLASS_IDS order,
+and packs the Lee forms into one (3, 3) array whose rows are theta, theta*
+and omega.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import struct
 import numpy as np
 
 from ._codegen import _ZERO, _Src, define
-from .lie import _checked, _flat, class_algebra
+from .lie import _flat, _jacobi, _validated, class_algebra
 from .mat3 import _positive_tol, _real
 from .structure import _LEE, CLASS_IDS, PARA_SASAKIAN_THETA0, PARA_SASAKIAN_TOL, ClassParams
 from .structure import ClassReport, LeeForms, standard_structure
@@ -70,19 +69,18 @@ def _koszul(c: np.ndarray) -> np.ndarray:
 
 
 def _nabla_phi(gamma: np.ndarray) -> np.ndarray:
-    """F[i] = phi Gamma[i] - Gamma[i] phi, on (..., 3, 3, 3) arrays of
-    floats or of _Src names.
+    """F[i] = phi Gamma[i] - Gamma[i] phi, on (..., 3, 3, 3) arrays.
 
     phi's entries are 0 and 1, so for finite Gamma both products are exact
     and only their difference rounds.  It is taken on Python floats, which
-    round as numpy does and never warn: an F past double range, +-inf as
-    Gamma is finite, is a ValueError, without a numpy warning.
+    round as numpy does and never warn: an F past double range is a
+    ValueError, without a numpy warning.
     """
     x, y = (_PHI @ gamma).ravel().tolist(), (gamma @ _PHI).ravel().tolist()
     f = [p - q for p, q in zip(x, y)]
-    if math.inf in f or -math.inf in f:
+    if not all(map(math.isfinite, f)):
         raise ValueError("F tensor overflows double precision at these constants")
-    return np.array(f, dtype=gamma.dtype).reshape(gamma.shape)
+    return np.array(f).reshape(gamma.shape)
 
 
 # Classification is linear in the nine independent constants C[i][j][k],
@@ -116,13 +114,8 @@ _CLASSIFY = _fused_map()
 
 
 _PQR = ("p0", "p1", "p2", "q0", "q1", "q2", "r0", "r1", "r2")
-# the 27 flat components as lie._checked names them: C_ij^k is pk, qk or rk
-# for (i, j) = (0, 1), (0, 2) or (1, 2), its mirror m-prefixed, dik on i = j
-_NAMES = tuple(f"d{i}{k}" if i == j else "m" * (i > j) + "pqr"[i + j - 1] + str(k)
-               for i, j, k in zip(_I.tolist(), _J.tolist(), _K.tolist()))
-# native doubles, written bit for bit: the Lee forms' nine, Gamma's or F's 27
+# the Lee forms' nine floats, written as native doubles into one (3, 3) array
 _pack9_into = struct.Struct("9d").pack_into
-_pack27_into = struct.Struct("27d").pack_into
 # Row 10 (F10's alpha), the one row with three terms, sums them in the order
 # of the matvec on x86-64 OpenBLAS; a two-term sum is the same either way.
 _SUM_ORDER = {10: ("p2", "r0", "q1")}
@@ -144,24 +137,24 @@ def _sum(n: int, row: dict) -> _Src:
     return s if s == _ZERO else _Src(f"{s} + 0.0")
 
 
-def _kernel(signature: str, unpack: tuple, body: list) -> str:
-    """A kernel's source: the gate (module docstring), then body on the
-    names unpack, read off _checked's P, Q, R or, for _NAMES, off C."""
+def _kernel(signature: str, doc: str, body: list) -> str:
+    """A kernel's source: its docstring, the gate (module docstring), body."""
     return "\n".join([
         f"def {signature}:",
-        '    v = _real(c, "structure constants").ravel().tolist()',
-        "    pqr, m, defect = _checked(v)",
+        f'    """{doc}"""',
+        '    flat = _real(c, "structure constants").ravel()',
+        "    pqr, m = _validated(flat.tolist())",
+        "    defect = _jacobi(pqr, m)",
         "    if defect > JACOBI_TOL:",
         "        raise NotALieAlgebraError(defect)",
         "    if m >= 2.0**1023:",
         '        raise ValueError("structure constants overflow double precision (max |C| >= 2**1023)")',
-        f"    {', '.join(unpack)} = {'v' if unpack == _NAMES else 'pqr'}",
         *body,
     ]) + "\n"
 
 
 def _classify_source() -> str:
-    """The kernel _classify(c, tol) as Python source (module docstring)."""
+    """The kernel classify_manifold(c, tol) as Python source (module docstring)."""
     rows = [_sum(n, dict(zip(_PQR, row))) for n, row in enumerate(_CLASSIFY.tolist())]
     k = 2 * len(CLASS_IDS)
     # alpha and beta of class n are named an and bn, or are the literal 0.0
@@ -177,7 +170,13 @@ def _classify_source() -> str:
                     f'        verdict.append("{cid}")',
                     "        if s > size:",
                     f"            alpha, beta, size = {a}, {b}, s"]
-    return _kernel("_classify(c, tol)", _PQR, [
+    return _kernel("classify_manifold(c, tol=1e-12)", """\
+Classify the manifold carried by a Lie algebra with orthonormal frame.
+
+    C is checked as in connection_coeffs, then tol, the verdict threshold,
+    must be a positive finite number (ValueError).
+    """, [
+        f"    {', '.join(_PQR)} = pqr",
         "    tol = _positive_tol(tol)",
         *[f"    {x} = {row}" for x, row in zip(names, rows) if x != "0.0"],
         "    params = {", *params, "    }",
@@ -194,65 +193,21 @@ def _classify_source() -> str:
     ])
 
 
-def _gamma(names: list) -> np.ndarray:
-    """_koszul run on the names of C.  Gamma[i][j][j] = (h - h) - h[jji] is
-    +0.0 for every finite C, whatever the signs of its zeros: a literal."""
-    gamma = _koszul(np.array(names, dtype=object))
-    gamma[_J == _K] = _ZERO
-    return gamma
-
-
-def _connection_source() -> str:
-    """The kernel _connection(c), Gamma as Python source: _gamma on the 27
-    names of C, the diagonal's signed zeros included, as numpy runs it."""
-    gamma = _gamma([_Src(x) for x in _NAMES])
-    return _kernel("_connection(c)", _NAMES, [
-        "    out = np.empty((3, 3, 3))",
-        "    _pack27_into(out, 0,", *[f"                 {g}," for g in gamma], "    )",
-        "    return out",
-    ])
-
-
-def _f_tensor_source() -> str:
-    """The kernel _f_tensor(c), F as Python source: _gamma and _nabla_phi
-    on the names of C, a zero of Gamma or C (the diagonal) left out, as the
-    + 0.0 that ends each entry makes every zero +0.0.  An entry of at most
-    three halves of C is below 1.5 * 2**1023; the rest are tested for
-    finiteness once."""
-    gamma = _gamma([_ZERO if x[0] == "d" else _Src(x) for x in _NAMES])
-    f = _nabla_phi(gamma.reshape(3, 3, 3)).ravel().tolist()
-    nonzero = [n for n in range(27) if f[n] != _ZERO]
-    large = [n for n in nonzero if f[n].count("*") > 3]
-    return _kernel("_f_tensor(c)", _NAMES, [
-        *[f"    f{n} = {f[n]} + 0.0" for n in nonzero],
-        f"    if {' + '.join(f'0.0 * f{n}' for n in large)} != 0.0:",
-        '        raise ValueError("F tensor overflows double precision at these constants")',
-        "    out = np.empty((3, 3, 3))",
-        f"    _pack27_into(out, 0, {', '.join(f'f{n}' if n in nonzero else '0.0' for n in range(27))})",
-        "    return out",
-    ])
-
-
-# The three kernels, generated and compiled once, as dataclasses does its
-# methods; the texts are kept for reading.
-_CLASSIFY_SOURCE = _classify_source()
-define(_CLASSIFY_SOURCE, "<paralie.levicivita._CLASSIFY_SOURCE>", globals())  # defines _classify
-_CONNECTION_SOURCE = _connection_source()
-define(_CONNECTION_SOURCE, "<paralie.levicivita._CONNECTION_SOURCE>", globals())  # _connection
-_F_TENSOR_SOURCE = _f_tensor_source()
-define(_F_TENSOR_SOURCE, "<paralie.levicivita._F_TENSOR_SOURCE>", globals())  # defines _f_tensor
-
-
-def connection_coeffs(c: np.ndarray) -> np.ndarray:
-    """Connection coefficients Gamma[i][j][k] = g(nabla_{e_i} e_j, e_k).
+_CONNECTION_SOURCE = _kernel("connection_coeffs(c)", """\
+Connection coefficients Gamma[i][j][k] = g(nabla_{e_i} e_j, e_k).
 
     Metric compatibility (antisymmetry in the last two slots) and
     torsion-freeness (Gamma[i][j] - Gamma[j][i] = C[i][j]) hold by
     construction.  Constants that are not real numbers, not finite, not
     antisymmetric or have max|C| >= 2**1023 raise ValueError; constants
     whose Jacobi defect exceeds JACOBI_TOL raise NotALieAlgebraError.
-    """
-    return _connection(c)
+    """, ["    return _koszul(flat).reshape(3, 3, 3)"])
+
+# The two kernels, compiled once, as dataclasses does its methods; the texts
+# are kept for reading.
+_CLASSIFY_SOURCE = _classify_source()
+define(_CLASSIFY_SOURCE, "<paralie.levicivita._CLASSIFY_SOURCE>", globals())  # classify_manifold
+define(_CONNECTION_SOURCE, "<paralie.levicivita._CONNECTION_SOURCE>", globals())  # connection_coeffs
 
 
 def f_tensor(c: np.ndarray) -> np.ndarray:
@@ -263,13 +218,4 @@ def f_tensor(c: np.ndarray) -> np.ndarray:
     max|C| > 2**1024 / 3 a component can pass double range: that is a
     ValueError, as in closed_form.
     """
-    return _f_tensor(c)
-
-
-def classify_manifold(c: np.ndarray, tol: float = 1e-12) -> ClassReport:
-    """Classify the manifold carried by a Lie algebra with orthonormal frame.
-
-    C is checked as in connection_coeffs, then tol, the verdict threshold,
-    must be a positive finite number (ValueError).
-    """
-    return _classify(c, tol)
+    return _nabla_phi(connection_coeffs(c))

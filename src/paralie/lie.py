@@ -13,8 +13,9 @@ in (i, j).  One algebra family per basic class:
 
 all unlisted brackets zero, F0 Abelian.  The matrix representation of an
 algebra element a*E0 + b*E1 + c*E2 is A[j][k] = -(a*C_0jk + b*C_1jk + c*C_2jk).
-Every reader of C (structure_constants, jacobi_defect, adjoint_rep and the
-gate that opens levicivita's kernels) checks it with one function, _checked.
+Every reader of C checks it once with _antisymmetric (size, antisymmetry),
+through _validated (finiteness too) in all but adjoint_rep; jacobi_defect
+and the gate that opens levicivita's kernels add _jacobi.
 """
 
 from __future__ import annotations
@@ -35,18 +36,25 @@ def _flat(i, j, k):
 def structure_constants(components) -> np.ndarray:
     """Validate a 3x3x3 array of bracket coefficients (antisymmetry included)."""
     flat = _real(components, "structure constants").ravel()
-    _checked(flat.tolist())
+    _validated(flat.tolist())
     return flat.reshape(3, 3, 3)
 
 
-def _checked(v: list, finite: bool = True) -> tuple[list, float, float] | None:
-    """P, Q, R = C_01, C_02, C_12, m = max|C| and jacobi_defect's defect of
-    the flat components v (Python floats), once they are 27 finite numbers,
-    antisymmetric in (i, j).  The unpack is the size check; mirrors and
-    diagonal are one pass over 27 named floats, compared, not added (a sum
-    can overflow).  A NaN fails a mirror or is a nonzero diagonal entry; an
-    inf mirrored by -inf passes, and then m is inf.  With finite false the
-    check stops before m, as adjoint_rep checks C, and returns None."""
+def _validated(v: list) -> tuple[list, float]:
+    """_antisymmetric's P, Q, R and m = max|C|, once m is finite too: the
+    constants are then 27 finite numbers, antisymmetric in (i, j)."""
+    pqr, m = _antisymmetric(v)
+    if m == math.inf:
+        raise ValueError("structure constants must be finite")
+    return pqr, m
+
+
+def _antisymmetric(v: list) -> tuple[list, float]:
+    """P, Q, R = C_01, C_02, C_12 and their max-abs m (max|C|), once the flat
+    components v (Python floats) are 27, antisymmetric and not NaN: one pass
+    over 27 named floats, compared, not added (a sum can overflow).  A NaN
+    fails a mirror or is a nonzero diagonal entry; an inf passes where its
+    mirror is -inf, and is then in P, Q or R, where m is inf."""
     try:
         (d00, d01, d02, p0, p1, p2, q0, q1, q2, mp0, mp1, mp2, d10, d11, d12, r0, r1, r2,
          mq0, mq1, mq2, mr0, mr1, mr2, d20, d21, d22) = v
@@ -59,26 +67,8 @@ def _checked(v: list, finite: bool = True) -> tuple[list, float, float] | None:
         if not all(map(math.isfinite, v)):
             raise ValueError("structure constants must be finite")
         raise ValueError("structure constants must be antisymmetric in (i, j)")
-    if not finite:
-        return None
     m = max(abs(p0), abs(p1), abs(p2), abs(q0), abs(q1), abs(q2), abs(r0), abs(r1), abs(r2))
-    if m == math.inf:
-        raise ValueError("structure constants must be finite")
-    # J on the nine times s = 2**-e, exact or correctly rounded as
-    # math.ldexp is; below max-abs 2**-1021, 2**-e would be past double
-    # range, so e is clamped to -1020, where the scaled entries and their
-    # products stay normal and the scaled-back defect keeps its bits
-    e = max(math.frexp(m)[1], -1020)
-    s = math.ldexp(1.0, -e)
-    x0, x1, x2, y0, y1, y2, z0, z1, z2 = (
-        p0 * s, p1 * s, p2 * s, q0 * s, q1 * s, q2 * s, r0 * s, r1 * s, r2 * s)
-    a, b, d = x0 - z2, x1 + y2, z1 + y0
-    try:
-        defect = math.ldexp(max(abs(a * y0 + b * z0 - d * x0), abs(a * y1 + b * z1 - d * x1),
-                                abs(a * y2 + b * z2 - d * x2)), 2 * e)
-    except OverflowError:  # past double range
-        defect = math.inf
-    return [p0, p1, p2, q0, q1, q2, r0, r1, r2], m, defect
+    return [p0, p1, p2, q0, q1, q2, r0, r1, r2], m
 
 
 # Per class, the terms (i, n, m) of its nonzero constants C[i][j][k], flat
@@ -143,7 +133,28 @@ def jacobi_defect(c: np.ndarray) -> float:
     C is read and checked as structure_constants checks it: what is not 27
     finite real numbers, antisymmetric in (i, j), is a ValueError.
     """
-    return _checked(_real(c, "structure constants").ravel().tolist())[2]
+    return _jacobi(*_validated(_real(c, "structure constants").ravel().tolist()))
+
+
+def _jacobi(pqr: list, m: float) -> float:
+    """jacobi_defect on P, Q, R with max-abs m, as _validated gives them.
+
+    The nine are multiplied by s = 2**-e, exact or correctly rounded as
+    math.ldexp is.  Below max-abs 2**-1021, 2**-e would be past double
+    range; e is clamped to -1020 there, where the scaled entries and their
+    products stay normal, so the scaled-back defect has the same bits.
+    """
+    e = max(math.frexp(m)[1], -1020)
+    s = math.ldexp(1.0, -e)
+    p0, p1, p2, q0, q1, q2, r0, r1, r2 = pqr
+    p0, p1, p2, q0, q1, q2, r0, r1, r2 = (
+        p0 * s, p1 * s, p2 * s, q0 * s, q1 * s, q2 * s, r0 * s, r1 * s, r2 * s)
+    a, b, d = p0 - r2, p1 + q2, r1 + q0
+    try:
+        return math.ldexp(max(abs(a * q0 + b * r0 - d * p0), abs(a * q1 + b * r1 - d * p1),
+                              abs(a * q2 + b * r2 - d * p2)), 2 * e)
+    except OverflowError:  # past double range
+        return math.inf
 
 
 def _coordinates(a, b, c) -> tuple[float, float, float]:
@@ -174,7 +185,7 @@ def adjoint_rep(c: np.ndarray, a: float, b: float, co: float) -> np.ndarray:
     """
     x0, x1, x2 = _coordinates(a, b, co)
     flat = _real(c, "structure constants").ravel()
-    _checked(flat.tolist(), finite=False)
+    _antisymmetric(flat.tolist())
     # one (3,) @ (3, 9) product on the negated coordinates, exactly the
     # negated product; + 0.0 clears negative zeros
     with np.errstate(over="ignore", invalid="ignore"):

@@ -146,7 +146,7 @@ def test_rows_of_three_or_more_terms_are_the_rows_with_a_stated_order():
 
 def test_straight_line_map_is_the_map_on_unit_constants():
     for n in range(9):
-        report = levicivita._classify(unit_constants(n), 1e-12)
+        report = levicivita.classify_manifold(unit_constants(n), 1e-12)
         got = np.concatenate(fused(report))
         assert got.tobytes() == _CLASSIFY[:, n].tobytes(), n
         # the Lee forms are views of one array

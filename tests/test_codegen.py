@@ -17,7 +17,7 @@ import pytest
 
 from paralie import expengine, levicivita
 from paralie.expengine import closed_form
-from paralie.levicivita import classify_manifold, connection_coeffs, f_tensor
+from paralie.levicivita import classify_manifold, connection_coeffs
 from paralie.lie import class_algebra
 from paralie.structure import ClassParams
 from reference import kernel
@@ -28,12 +28,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 @pytest.mark.parametrize("module, name, generate", [
     (expengine, "_EXP_SOURCE", expengine._exp_source),
     (levicivita, "_CLASSIFY_SOURCE", levicivita._classify_source),
-    (levicivita, "_CONNECTION_SOURCE", levicivita._connection_source),
-    (levicivita, "_F_TENSOR_SOURCE", levicivita._f_tensor_source),
+    (levicivita, "_CONNECTION_SOURCE", None),  # one fixed call of levicivita._kernel
 ])
 def test_generated_source_is_the_golden_text(module, name, generate):
     golden = (GOLDEN / f"{module.__name__.split('.')[-1]}.{name}.txt").read_text(encoding="utf-8")
-    assert generate() == golden
+    assert generate is None or generate() == golden
     assert getattr(module, name) == golden
 
 
@@ -43,14 +42,10 @@ def test_a_kernel_line_shows_in_a_traceback():
          "<paralie.expengine._EXP_SOURCE>", "_exp_F8",
          'raise ValueError("exponential overflows double precision at these parameters")'),
         (lambda: classify_manifold(np.zeros((3, 3, 3)), math.nan),
-         "<paralie.levicivita._CLASSIFY_SOURCE>", "_classify", "tol = _positive_tol(tol)"),
+         "<paralie.levicivita._CLASSIFY_SOURCE>", "classify_manifold", "tol = _positive_tol(tol)"),
         (lambda: connection_coeffs(class_algebra(ClassParams("F4", 2.0**1023))),
-         "<paralie.levicivita._CONNECTION_SOURCE>", "_connection",
+         "<paralie.levicivita._CONNECTION_SOURCE>", "connection_coeffs",
          'raise ValueError("structure constants overflow double precision (max |C| >= 2**1023)")'),
-        (lambda: f_tensor(class_algebra(ClassParams("F10", math.nextafter(2.0**1023, 0.0)))
-                          + class_algebra(ClassParams("F8", 4e307))),
-         "<paralie.levicivita._F_TENSOR_SOURCE>", "_f_tensor",
-         'raise ValueError("F tensor overflows double precision at these constants")'),
     )
     for call, filename, function, line in cases:
         with pytest.raises(ValueError) as info:
@@ -64,7 +59,6 @@ def test_inspect_reads_each_kernel_from_its_source():
     for cid, fn in expengine._KERNELS.items():
         segment = ast.get_source_segment(expengine._EXP_SOURCE, kernel(expengine._EXP_SOURCE, cid))
         assert inspect.getsource(fn) == segment + "\n", cid
-    for fn, source in ((levicivita._classify, levicivita._CLASSIFY_SOURCE),
-                       (levicivita._connection, levicivita._CONNECTION_SOURCE),
-                       (levicivita._f_tensor, levicivita._F_TENSOR_SOURCE)):
+    for fn, source in ((classify_manifold, levicivita._CLASSIFY_SOURCE),
+                       (connection_coeffs, levicivita._CONNECTION_SOURCE)):
         assert inspect.getsource(fn) == source

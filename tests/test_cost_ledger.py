@@ -17,7 +17,7 @@ import pytest
 
 from paralie.expengine import closed_form
 from paralie.levicivita import classify_manifold, connection_coeffs, f_tensor
-from paralie.lie import class_algebra, jacobi_defect
+from paralie.lie import class_algebra, jacobi_defect, structure_constants
 from paralie.structure import CLASS_IDS, ClassParams
 
 F11 = class_algebra(ClassParams("F11", 0.3, -1.7))  # README's classify example
@@ -31,6 +31,7 @@ CALLS = {
     "connection_coeffs F11": (connection_coeffs, (F11,)),
     "f_tensor F11": (f_tensor, (F11,)),
     "jacobi_defect F11": (jacobi_defect, (F11,)),
+    "structure_constants F11": (structure_constants, (F11,)),
     "class_algebra F0": (class_algebra, (ClassParams("F0"),)),
     **{f"class_algebra {cid}": (class_algebra, (ClassParams(cid, 1.5, -0.5),)) for cid in CLASS_IDS},
     **{f"closed_form {cid}": (closed_form, (ClassParams(cid, 1.5, -0.5), 0.5, 1.0, -2.0))
@@ -40,11 +41,12 @@ CALLS = {
 # opcodes per call, by Python (major, minor)
 LEDGER = {
     (3, 11): {
-        "classify_manifold F11": 685,
-        "classify_manifold not Lie": 353,
-        "connection_coeffs F11": 584,
-        "f_tensor F11": 704,
-        "jacobi_defect F11": 318,
+        "classify_manifold F11": 702,
+        "classify_manifold not Lie": 371,
+        "connection_coeffs F11": 377,
+        "f_tensor F11": 684,
+        "jacobi_defect F11": 336,
+        "structure_constants F11": 209,
         "class_algebra F0": 59,
         "class_algebra F1": 123,
         "class_algebra F4": 123,

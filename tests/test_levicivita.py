@@ -13,7 +13,7 @@ from paralie.levicivita import (
     connection_coeffs,
     f_tensor,
 )
-from paralie.lie import _checked, class_algebra, structure_constants
+from paralie.lie import _validated, class_algebra, structure_constants
 from paralie.structure import (
     CLASS_IDS,
     TWO_PARAMETER_CLASSES,
@@ -373,12 +373,12 @@ def test_classify_validates_once_without_einsum(monkeypatch):
 
     def counting(v):
         calls.append(v)
-        return _checked(v)
+        return _validated(v)
 
     def forbidden(*args, **kwargs):
         pytest.fail("classify_manifold ran einsum")
 
-    monkeypatch.setattr(levicivita, "_checked", counting)
+    monkeypatch.setattr(levicivita, "_validated", counting)
     monkeypatch.setattr(np, "einsum", forbidden)
     report = classify_manifold(class_algebra(ClassParams("F11", 0.3, -1.7)))
     assert report.verdict == ["F11"]

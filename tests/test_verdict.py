@@ -1,8 +1,7 @@
 """The verdict's decision points, each against the verdict pass it replaced.
 
 classify_manifold forms the parameters, the verdict and the report in one
-generated kernel (levicivita._classify).  At every threshold the kernel
-decides on, its report must be that of ``reference.replaced_report`` on the
+generated kernel.  At every threshold the kernel decides on, its report must be that of ``reference.replaced_report`` on the
 same recovered parameters, byte for byte: |alpha| exactly at tol, a tie
 between two classes, beta as the larger parameter of F1 and F11 (alone and
 as the dominant class of a sum), alpha = 0 with beta nonzero, theta(e0) at
@@ -57,7 +56,7 @@ def classify(x, tol=TOL):
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error")
         patch.setattr(levicivita, "JACOBI_TOL", math.inf)  # any defect passes
-        got = levicivita._classify(c, tol)
+        got = levicivita.classify_manifold(c, tol)
     y = _CLASSIFY @ np.array(x) + 0.0
     want = replaced_report(y[:14].tolist(), LeeForms(y[14:17], y[17:20], y[20:]), tol)
     assert report_bytes(got) == report_bytes(want), (x, tol)
