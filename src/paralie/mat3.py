@@ -89,6 +89,8 @@ ORACLE_MAX_NORM = 2.0**10
 # The series and squarings run in longdouble; where that is a plain double,
 # the referee is no more precise than the closed forms it checks.
 _LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
+_EYE = np.eye(3, dtype=np.longdouble)  # every call's first term and partial sum, shared
+_EYE.flags.writeable = False
 
 
 def expm_oracle(a: np.ndarray, tol: float = 1e-15) -> np.ndarray:
@@ -101,6 +103,10 @@ def expm_oracle(a: np.ndarray, tol: float = 1e-15) -> np.ndarray:
     float64 result; good to roughly ``tol`` per entry, relative to
     max(1, max|exp(A)|), with the conditioning of exp itself on top.
 
+    The stop test reads the term once, rounded to double, as Python floats:
+    rounding to nearest is monotone and odd, so their largest |x| is the
+    double that ``max_abs(term)`` gives, and the series stops where it did.
+
     tol is read by _positive_tol.  Raises ValueError for a max-abs norm
     above ORACLE_MAX_NORM, for a tol whose tol * 2**-s underflows to 0,
     where exp(A) passes double range (no numpy warning), and where
@@ -111,10 +117,10 @@ def expm_oracle(a: np.ndarray, tol: float = 1e-15) -> np.ndarray:
         raise ValueError(
             f"expm_oracle needs an extended-precision longdouble (eps {_LONGDOUBLE_EPS:.3g} here)")
     a = _real(a, "expm_oracle's matrix entries")
-    if a.shape != (3, 3) or not np.all(np.isfinite(a)):
+    if a.shape != (3, 3) or not np.isfinite(a).all():
         raise ValueError("expm_oracle expects a finite 3x3 matrix")
 
-    norm = max_abs(a)
+    norm = max(map(abs, a.ravel().tolist()))
     if norm > ORACLE_MAX_NORM:
         raise ValueError(
             f"expm_oracle is out of range: max |A| = {norm:.3e} > {ORACLE_MAX_NORM:g}")
@@ -127,13 +133,12 @@ def expm_oracle(a: np.ndarray, tol: float = 1e-15) -> np.ndarray:
     if threshold == 0.0:  # no term falls below it
         raise ValueError(f"tol = {tol!r} is too small: tol / 2**{squarings} underflows to 0")
 
-    result = np.eye(3, dtype=np.longdouble)
-    term = np.eye(3, dtype=np.longdouble)
+    result = term = _EYE
     k = 1
     while True:
         term = (term @ scaled) / k
         result = result + term
-        if max_abs(term) < threshold:
+        if max(map(abs, term.astype(float).ravel().tolist())) < threshold:
             break
         k += 1
         if k > 300:  # unreachable once the norm is scaled below 1/2

@@ -26,6 +26,9 @@ before one generated kernel formed the parameters, the verdict and the
 report in one function.  ``kernel``, ``planned_entries`` and
 ``square_terms`` read a generated closed_form kernel's text back: where it
 sets exp(A), and which A^2 term it adds to each entry.
+``replaced_expm_oracle`` is the referee as it was before its stop test read
+the term as Python floats and its series started from a shared identity:
+the same algorithm, with ``max_abs`` per term and two ``np.eye`` per call.
 """
 
 from __future__ import annotations
@@ -41,7 +44,15 @@ import numpy as np
 from paralie import levicivita
 from paralie.levicivita import _ZERO_PAIR, NotALieAlgebraError
 from paralie.lie import _TERMS, _coordinates, _flat, _values
-from paralie.mat3 import _positive_tol, max_abs, trace, trace_sq
+from paralie.mat3 import (
+    _LONGDOUBLE_EPS,
+    ORACLE_MAX_NORM,
+    _positive_tol,
+    _real,
+    max_abs,
+    trace,
+    trace_sq,
+)
 from paralie.structure import (
     _LEE,
     CLASS_IDS,
@@ -370,3 +381,64 @@ def square_terms(source: str, cid: str) -> list:
                 assert all(re.fullmatch(r"a\d", f) for f in factors), (cid, n)
                 terms.append((n, (int(factors[0][1]), int(factors[1][1]))))
     return terms
+
+
+def replaced_expm_oracle(a: np.ndarray, tol: float = 1e-15) -> np.ndarray:
+    """Matrix exponential via scaling-and-squaring over a truncated series.
+
+    The input is scaled by 2**-s until its max-abs norm is at most 1/2, the
+    Taylor series is summed until the current term falls below tol * 2**-s
+    in max-abs, and the partial sum is squared s times.  The arithmetic runs
+    in extended precision so the repeated squarings do not eat into the
+    float64 result; good to roughly ``tol`` per entry, relative to
+    max(1, max|exp(A)|), with the conditioning of exp itself on top.
+
+    tol is read by _positive_tol.  Raises ValueError for a max-abs norm
+    above ORACLE_MAX_NORM, for a tol whose tol * 2**-s underflows to 0,
+    where exp(A) passes double range (no numpy warning), and where
+    longdouble has no more precision than 1e-18.
+    """
+    tol = _positive_tol(tol)
+    if _LONGDOUBLE_EPS > 1e-18:
+        raise ValueError(
+            f"expm_oracle needs an extended-precision longdouble (eps {_LONGDOUBLE_EPS:.3g} here)")
+    a = _real(a, "expm_oracle's matrix entries")
+    if a.shape != (3, 3) or not np.all(np.isfinite(a)):
+        raise ValueError("expm_oracle expects a finite 3x3 matrix")
+
+    norm = max_abs(a)
+    if norm > ORACLE_MAX_NORM:
+        raise ValueError(
+            f"expm_oracle is out of range: max |A| = {norm:.3e} > {ORACLE_MAX_NORM:g}")
+    squarings = 0
+    if norm > 0.5:
+        squarings = int(math.ceil(math.log2(norm / 0.5)))
+    scale = 2.0 ** squarings
+    scaled = a.astype(np.longdouble) / scale
+    threshold = tol / scale
+    if threshold == 0.0:  # no term falls below it
+        raise ValueError(f"tol = {tol!r} is too small: tol / 2**{squarings} underflows to 0")
+
+    result = np.eye(3, dtype=np.longdouble)
+    term = np.eye(3, dtype=np.longdouble)
+    k = 1
+    while True:
+        term = (term @ scaled) / k
+        result = result + term
+        if max_abs(term) < threshold:
+            break
+        k += 1
+        if k > 300:  # unreachable once the norm is scaled below 1/2
+            raise RuntimeError("exponential series failed to converge")
+    for _ in range(squarings):
+        result = result @ result
+    # longdouble holds exp(A) for every norm in range, a double may not; but
+    # max|exp(A)| <= e**(3 max|A|), which is below e**708 up to norm 236
+    if norm <= 236.0:
+        return result.astype(float)
+    try:
+        with np.errstate(over="raise"):
+            return result.astype(float)
+    except FloatingPointError:  # exp(A) past double range
+        pass
+    raise ValueError(f"expm_oracle's exp(A) overflows double precision (max |A| = {norm:.3e})")

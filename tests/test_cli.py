@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -271,9 +272,13 @@ def test_exp_bad_coords(capsys):
 
 
 def test_verify_small_grid_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--grid", "small")
-    assert code == 0
+    # every residual, byte for byte; CI diffs the full grid's output with
+    # tests/golden/verify_full.txt the same way
+    code, out, err = run_cli(capsys, "verify", "--grid", "small")
+    golden = pathlib.Path(__file__).parent / "golden" / "verify_small.txt"
+    assert (code, err) == (0, "")
     assert "overall: PASS" in out
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_verify_unattainable_tol_fails(capsys):

@@ -18,9 +18,14 @@ import pytest
 from paralie.expengine import closed_form
 from paralie.levicivita import classify_manifold, connection_coeffs, f_tensor
 from paralie.lie import class_algebra, jacobi_defect, structure_constants
+from paralie.mat3 import expm_oracle
 from paralie.structure import CLASS_IDS, ClassParams
 
 F11 = class_algebra(ClassParams("F11", 0.3, -1.7))  # README's classify example
+# the referee's input at (0.5, 1, -2): max|A| is 3.7 on F11 and 1.2 on F8,
+# three and two squarings
+F11_A = closed_form(ClassParams("F11", 0.3, -1.7), 0.5, 1.0, -2.0).A
+F8_A = closed_form(ClassParams("F8", 0.3), 0.5, 1.0, -2.0).A
 NOT_LIE = np.zeros((3, 3, 3))  # [E0,E1] = E1 and [E1,E2] = E0: Jacobi defect 1
 NOT_LIE[0, 1, 1], NOT_LIE[1, 0, 1], NOT_LIE[1, 2, 0], NOT_LIE[2, 1, 0] = 1.0, -1.0, 1.0, -1.0
 
@@ -36,6 +41,8 @@ CALLS = {
     **{f"class_algebra {cid}": (class_algebra, (ClassParams(cid, 1.5, -0.5),)) for cid in CLASS_IDS},
     **{f"closed_form {cid}": (closed_form, (ClassParams(cid, 1.5, -0.5), 0.5, 1.0, -2.0))
        for cid in CLASS_IDS},
+    "expm_oracle F11": (expm_oracle, (F11_A,)),
+    "expm_oracle F8": (expm_oracle, (F8_A,)),
 }
 
 # opcodes per call, by Python (major, minor)
@@ -62,6 +69,8 @@ LEDGER = {
         "closed_form F9": 320,
         "closed_form F10": 331,
         "closed_form F11": 238,
+        "expm_oracle F11": 788,
+        "expm_oracle F8": 661,
     },
 }
 

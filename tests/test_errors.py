@@ -29,7 +29,7 @@ from paralie.levicivita import (
     f_tensor,
 )
 from paralie.lie import adjoint_rep, class_algebra, jacobi_defect, structure_constants
-from paralie.mat3 import expm_oracle
+from paralie.mat3 import ORACLE_MAX_NORM, expm_oracle
 from paralie.structure import (
     CLASS_IDS,
     ClassParams,
@@ -551,3 +551,105 @@ def test_fuzz_the_gate_on_the_structure_constants(c, tol):
             assert gate == ((NotALieAlgebraError, f"Jacobi identity violated (defect {defect:.3e})")
                             if defect > levicivita.JACOBI_TOL else (ValueError,
                             "structure constants overflow double precision (max |C| >= 2**1023)"))
+
+
+# --- the referee, fuzzed --------------------------------------------------------
+
+# entries the referee reads differently: signed zeros, subnormals, the
+# scaling target 1/2, the norm where exp(A) can first pass double range,
+# ORACLE_MAX_NORM and its neighbours, double range's end, NaN and +-inf
+ORACLE_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.5, math.nextafter(0.5, 1.0), 236.0,
+                 -709.78, ORACLE_MAX_NORM, -ORACLE_MAX_NORM, math.nextafter(ORACLE_MAX_NORM, 0.0),
+                 math.nextafter(ORACLE_MAX_NORM, math.inf), 1.7976931348623157e308,
+                 math.inf, -math.inf, math.nan)
+# not nine entries in three rows, or not a nested sequence of numbers at all
+NOT_MATRICES = (None, "A", {"a": 1}, 1.0, [], [0.0] * 9, [[0.0] * 3] * 2, [[[0.0] * 3] * 3] * 3)
+
+
+@st.composite
+def matrices(draw):
+    """A as nested lists or an array: nine floats up to 4 in magnitude, up
+    to two of them replaced by edge floats, perhaps all scaled by 2**e for
+    e from -1080 to 10, perhaps one replaced by a scalar of any kind; then
+    reshaped, made ragged or replaced by something that is not a matrix."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(NOT_MATRICES))
+    flat = draw(st.lists(st.floats(-4.0, 4.0), min_size=9, max_size=9))
+    for _ in range(draw(st.integers(0, 2))):
+        flat[draw(st.integers(0, 8))] = draw(st.sampled_from(ORACLE_FLOATS))
+    if draw(st.booleans()):
+        e = draw(st.integers(-1080, 10))
+        flat = [math.ldexp(x, e) if abs(x) <= 4.0 else x for x in flat]
+    if draw(st.integers(0, 3)) == 0:
+        flat[draw(st.integers(0, 8))] = draw(SCALARS)
+    form = draw(st.sampled_from(["nested"] * 3 + ["array"] * 2 + ["object array", "flat", "ragged", "column"]))
+    nested = [flat[0:3], flat[3:6], flat[6:9]]
+    if form == "ragged":
+        nested[draw(st.integers(0, 2))].pop()
+    if form == "array":
+        return returned(np.array, nested) if all(type(x) is float for x in flat) else nested
+    return {"object array": np.array(flat + [None], dtype=object)[:9].reshape(3, 3),
+            "flat": flat, "column": [[x] for x in flat]}.get(form, nested)
+
+
+# two in three tols positive and finite: one_of flattens SCALARS' branches,
+# which would outweigh them
+ORACLE_TOLS = st.sampled_from([True, True, False]).flatmap(lambda good: st.one_of(
+    st.sampled_from([1e-15, 1e-300, 0.5]), st.floats(5e-324, 1.0)) if good else SCALARS)
+
+
+def oracle_must_return(a, tol) -> bool:
+    """Whether the contract leaves expm_oracle(a, tol) no way to refuse: a
+    3x3 matrix of finite floats or ints (strings are read by numpy, not
+    float()) at max|A| <= 236, where exp(A) stays in double range, and a
+    tol that is positive and finite and stays so at tol / 2**s."""
+    t = finite_real(tol)
+    try:
+        rows = [list(row) for row in a] if isinstance(a, (list, np.ndarray)) else None
+    except TypeError:
+        return False
+    if t is None or t <= 0.0 or rows is None or [len(row) for row in rows] != [3, 3, 3]:
+        return False
+    entries = [x for row in rows for x in row]
+    if not all(isinstance(x, (float, int, np.floating, np.integer)) and finite_real(x) is not None
+               for x in entries):
+        return False
+    norm = max(abs(float(x)) for x in entries)
+    return norm <= 236.0 and t / 2.0 ** max(0, math.ceil(math.log2(max(norm, 0.5) / 0.5))) > 0.0
+
+
+def oracle_must_refuse(a, tol) -> bool:
+    """Whether the contract makes expm_oracle(a, tol) refuse: tol is not a
+    positive finite real number, A has an entry that is not a finite real
+    number or a norm past ORACLE_MAX_NORM."""
+    t = finite_real(tol)
+    if t is None or t <= 0.0:
+        return True
+    if isinstance(a, (list, np.ndarray)) and len(a) == 3 and all(
+            isinstance(row, (list, np.ndarray)) and len(row) == 3 for row in a):
+        values = [finite_real(x) for row in a for x in row]
+        return None in values or max(map(abs, values)) > ORACLE_MAX_NORM
+    return False
+
+
+@given(matrices(), ORACLE_TOLS)
+# just past ORACLE_MAX_NORM, exp(A) past double range, and a tol whose
+# threshold underflows after one squaring
+@example([[math.nextafter(ORACLE_MAX_NORM, math.inf), 0.0, 0.0], [0.0] * 3, [0.0] * 3], 1e-15)
+@example([[800.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3], 1e-15)
+@example([[1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3], 5e-324)
+@example([[np.complex128(1.0), 0.0, 0.0], [0.0] * 3, [0.0] * 3], 1e-15)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_fuzz_the_referee(a, tol):
+    # expm_oracle returns a finite, fresh float64 3x3 array or raises a
+    # ValueError; it refuses every tol and entry that is not a finite real
+    # number and every norm past its range, and returns wherever the
+    # contract leaves it no reason to refuse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = returned(expm_oracle, a, tol)
+    if got is not None:
+        assert_fresh_float64(got, (3, 3))
+        assert np.isfinite(got).all()
+    assert got is not None or not oracle_must_return(a, tol)
+    assert got is None or not oracle_must_refuse(a, tol)
