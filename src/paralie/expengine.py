@@ -38,7 +38,8 @@ levicivita's classification is.  A kernel
   * forms tr A, or tr A^2 in mat3._trace_sq's order, on those names, with
     the products of a structural zero left out, and goes on only where it
     is finite;
-  * takes t and u from math.expm1 or _cubic;
+  * takes t and u from math.expm1, or, in the cubic classes, from lines
+    written once by the generator: f(r)/r and (f(h)/h)^2 / 2 as above;
   * forms exp(A) only on the plan, tests those entries for finiteness once,
     and writes A's nine entries and then exp(A)'s into one new (2, 3, 3)
     array with one struct pack_into: native doubles, copied bit for bit.
@@ -47,7 +48,7 @@ levicivita's classification is.  A kernel
 No entry of A is -0.0 (0.0 - y is +0.0 where y is a zero), so a sum that
 leaves out a structural +0.0 has the bits of the sum with it.  A product
 x * 0.0 left out of tr A^2 is a signed zero, which moves at most the sign
-of a zero z that _cubic and the label read as zero, or NaN where x is not
+of a zero z that t, u and the label read as zero, or NaN where x is not
 finite, and then exp(A) is not finite on x's entry either.
 
 The generator runs A^2 and tr A^2 on A's entry names, with structural
@@ -64,8 +65,9 @@ E[n] where t is finite, and E[n] + t*A[n], never -0.0 as E[n] is +0.0 or
 bits are those of E + t*A + u*A^2 on all nine.  Off the plan exp(A) is E's
 literal.  Where an entry of A^2 sums two products (F8's diagonal), A^2
 stays in numpy, on all nine entries: BLAS may fuse that sum in a way Python
-floats cannot repeat, and it is np.dot(A, A) on the array's first half,
-the dgemm that A @ A runs, without the matmul ufunc's overhead.  The
+floats cannot repeat.  It is m.dot(m), with m one view of the array's
+first half, which the result returns as A: the dgemm that np.dot(A, A) and
+A @ A run, without np.dot's dispatch or the matmul ufunc's overhead.  The
 exact-zero label reads the entries of A that tr A^2 reads: zero_matrix
 where those are all of A's (F8), trA2_zero otherwise.
 """
@@ -110,17 +112,6 @@ class ExpResult:
     expA: np.ndarray
 
 
-def _cubic(z: float) -> tuple[float, float]:
-    # (sinh(sqrt(z))/sqrt(z), (cosh(sqrt(z)) - 1)/z) continued through z <= 0
-    if z == 0.0:
-        return 1.0, 0.5
-    r = math.sqrt(abs(z))
-    h = 0.5 * r
-    f = math.sinh if z > 0.0 else math.sin
-    fh = f(h) / h
-    return f(r) / r, 0.5 * fh * fh
-
-
 def _kernel_source(cid: str) -> str:
     """The kernel _exp_<cid>(p, a, b, c) as Python source (module docstring)."""
     factor = _TRACE_FACTOR.get(cid)
@@ -153,8 +144,15 @@ def _kernel_source(cid: str) -> str:
         z = 0.5 * _trace_sq(a)
         body += [f"    z = {z}",
                  "    if math.isfinite(z):",
-                 "        try:",
-                 "            t, u = _cubic(z)",
+                 "        try:  # sinh(sqrt(z))/sqrt(z), (cosh(sqrt(z)) - 1)/z, through z <= 0",
+                 "            if z == 0.0:",
+                 "                t, u = 1.0, 0.5",
+                 "            else:",
+                 "                r = math.sqrt(abs(z))",
+                 "                h = 0.5 * r",
+                 "                f = math.sinh if z > 0.0 else math.sin",
+                 "                fh = f(h) / h",
+                 "                t, u = f(r) / r, 0.5 * fh * fh",
                  "        except OverflowError:  # exp(A) past double range",
                  "            t = u = math.nan"]
         # z underflows before A does, so an exact zero is read on the entries
@@ -163,10 +161,11 @@ def _kernel_source(cid: str) -> str:
         read_zero = [a[n] for n in nonzero if a[n] in z]
         label = "zero_matrix" if len(read_zero) == len(nonzero) else "trA2_zero"
         branch = f'"generic" if {" or ".join(["z", *read_zero])} else "{label}"'
-    if dot:  # numpy's A^2, on all nine, of A written into buf[0]
+    if dot:  # numpy's A^2, on all nine, of A written into buf's first half m
         body += ["        buf = np.empty((2, 3, 3))",
+                 "        m = buf[0]",
                  f"        _pack9_into(buf, 0, {', '.join(a)})",
-                 f"        {', '.join(f's{n}' for n in range(9))} = np.dot(buf[0], buf[0]).reshape(9).tolist()"]
+                 f"        {', '.join(f's{n}' for n in range(9))} = m.dot(m).ravel().tolist()"]
         sq = [s if s == _ZERO else _Src(f"s{n}") for n, s in enumerate(sq)]
     e = list(map(repr, _E))
     for n in plan:
@@ -183,7 +182,7 @@ def _kernel_source(cid: str) -> str:
     else:  # A and exp(A), the two halves of one array
         body += ["            buf = np.empty((2, 3, 3))",
                  f"            _pack_into(buf, 0, {', '.join(a + e)})"]
-    body.append(f"            return ExpResult(buf[0], t, u, {branch}, buf[1])")
+    body.append(f"            return ExpResult({'m' if dot else 'buf[0]'}, t, u, {branch}, buf[1])")
     body.append('    raise ValueError("exponential overflows double precision at these parameters")')
     return "\n".join(body) + "\n"
 

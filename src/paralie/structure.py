@@ -109,7 +109,7 @@ class ClassParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.class_id not in CLASS_IDS + ("F0",):
+        if not isinstance(self.class_id, str) or self.class_id not in CLASS_IDS + ("F0",):
             raise ValueError(
                 f"unknown class id {self.class_id!r} (expected one of F0 {' '.join(CLASS_IDS)})")
         # stored as Python floats, so arithmetic past double range gives inf

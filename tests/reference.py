@@ -29,6 +29,8 @@ sets exp(A), and which A^2 term it adds to each entry.
 ``replaced_expm_oracle`` is the referee as it was before its stop test read
 the term as Python floats and its series started from a shared identity:
 the same algorithm, with ``max_abs`` per term and two ``np.eye`` per call.
+``replaced_cubic`` is the function the cubic kernels called for t and u
+before its body was written into each kernel.
 """
 
 from __future__ import annotations
@@ -442,3 +444,14 @@ def replaced_expm_oracle(a: np.ndarray, tol: float = 1e-15) -> np.ndarray:
     except FloatingPointError:  # exp(A) past double range
         pass
     raise ValueError(f"expm_oracle's exp(A) overflows double precision (max |A| = {norm:.3e})")
+
+
+def replaced_cubic(z: float) -> tuple[float, float]:
+    # (sinh(sqrt(z))/sqrt(z), (cosh(sqrt(z)) - 1)/z) continued through z <= 0
+    if z == 0.0:
+        return 1.0, 0.5
+    r = math.sqrt(abs(z))
+    h = 0.5 * r
+    f = math.sinh if z > 0.0 else math.sin
+    fh = f(h) / h
+    return f(r) / r, 0.5 * fh * fh

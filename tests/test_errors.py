@@ -458,6 +458,68 @@ def test_fuzz_closed_form_para_sasakian_group_and_class_algebra(cid, alpha, beta
             assert not np.shares_memory(res.A, res.expA)
 
 
+# --- the class parameters, fuzzed ------------------------------------------------
+
+# class ids: the eight known ones, near misses, a numpy str, and values that
+# are not strings; a 0-d array of "F4" compares equal to "F4" but is no key
+# of the kernels' table
+CLASS_ID_VALUES = st.one_of(
+    st.sampled_from(("F0",) + CLASS_IDS),
+    st.sampled_from(("f4", "F4 ", "F12", "", b"F4", np.str_("F8"), np.array("F4"), np.array(["F4", "F8"]),
+                     ["F4"], [["F4"]], ("F4",), None, 4, 4.0, math.nan, 1j)),
+    st.text(max_size=3),
+)
+# parameters: SCALARS, nested lists, arrays, subnormals and floats at the
+# overflow edge, where 2 alpha in F8's algebra passes double range
+PARAM_VALUES = st.one_of(
+    SCALARS,
+    st.sampled_from((5e-324, -5e-324, 2.2250738585072014e-308, 8.98846567431158e307, -8.98846567431158e307,
+                     2.0**1023, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
+                     math.nan, np.array([1.0]), np.array(1.0), np.longdouble("1e400"))),
+    st.recursive(st.floats(), lambda x: st.lists(x, max_size=2), max_leaves=3),
+)
+
+
+@given(CLASS_ID_VALUES, PARAM_VALUES, PARAM_VALUES)
+# a 0-d array class id, which ClassParams used to take and the kernels'
+# table could not look up (a TypeError); F8 at the overflow edge
+@example(np.array("F4"), 1.0, 0.0)
+@example("F8", 8.98846567431158e307, 0.0)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_fuzz_class_params(cid, alpha, beta):
+    # ClassParams returns a label whose parameters are the finite Python
+    # floats float() reads, or raises a ValueError, exactly where the id is
+    # not one of the eight strings, a parameter is not a finite real number,
+    # or F0 has one that is not 0; every reader of p then returns or raises
+    # a ValueError, and closed_form at the origin returns the identity
+    # wherever A's entries are finite
+    known = isinstance(cid, str) and cid in ("F0",) + CLASS_IDS
+    al, bt = finite_real(alpha), finite_real(beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = returned(ClassParams, cid, alpha, beta)
+        assert (p is not None) == (known and al is not None and bt is not None
+                                   and (cid != "F0" or al == bt == 0.0))
+        if p is None:
+            return
+        assert type(p.alpha) is float and type(p.beta) is float
+        assert (p.alpha, p.beta) == (al, bt) and math.copysign(1.0, p.alpha) == math.copysign(1.0, al)
+        c = class_algebra(p)
+        assert_fresh_float64(c, (3, 3, 3))
+        returned(classify_manifold, c)
+        origin = returned(closed_form, p, 0.0, 0.0, 0.0)
+        # 0.0 * inf is NaN where 2 alpha passes double range in F8's A
+        assert (origin is None) == (cid == "F0" or cid == "F8" and math.isinf(2.0 * p.alpha))
+        results = [origin, returned(closed_form, p, 0.5, 1.0, -2.0), returned(closed_form, p, 1e-300, -3.0, 1e300)]
+    if origin is not None:
+        assert origin.A.tolist() == [[0.0] * 3] * 3 and origin.expA.tolist() == np.eye(3).tolist()
+    for res in results:
+        if res is not None:
+            for m in (res.A, res.expA):
+                assert_fresh_float64(m, (3, 3))
+                assert np.isfinite(m).all()
+
+
 # --- the structure constants' gate, fuzzed -------------------------------------
 
 # floats the gate reads differently: signed zeros, subnormals, the 2**1023

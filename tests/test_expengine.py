@@ -442,15 +442,25 @@ def drop_entry(source, cid, n):
 
 def test_generated_kernels_set_exp_a_exactly_on_the_plan():
     # each kernel assigns exp(A) where A or A @ A is nonzero and leaves E's
-    # literal everywhere else; only F8 forms A^2 in numpy, and no kernel
-    # builds an array with np.array; the text is reproducible
+    # literal everywhere else; only F8 forms A^2 in numpy, with one dot call
+    # (np.dot or the ndarray method) on buf's first half, each kernel builds
+    # one array with np.empty and none with np.array; the text is reproducible
     assert expengine._exp_source() == _EXP_SOURCE
     for cid in CLASS_IDS:
         assert planned_entries(_EXP_SOURCE, cid) == structural_pattern(cid), cid
-        calls = {ast.unparse(node.func) for node in ast.walk(kernel(_EXP_SOURCE, cid))
-                 if isinstance(node, ast.Call)}
-        assert ("np.dot" in calls) == (cid == "F8"), cid
-        assert "np.array" not in calls, cid
+        fn = kernel(_EXP_SOURCE, cid)
+        calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)]
+        names = [ast.unparse(node.func) for node in calls]
+        dots = [node for node, name in zip(calls, names) if name.rpartition(".")[2] == "dot"]
+        assert len(dots) == (cid == "F8"), cid
+        assert names.count("np.empty") == 1, cid
+        assert "np.array" not in names, cid
+        views = {ast.unparse(node.targets[0]) for node in ast.walk(fn)
+                 if isinstance(node, ast.Assign) and ast.unparse(node.value) == "buf[0]"}
+        for dot in dots:
+            method = isinstance(dot.func, ast.Attribute) and ast.unparse(dot.func.value) != "np"
+            operands = [ast.unparse(x) for x in ([dot.func.value] if method else []) + dot.args]
+            assert len(operands) == 2 and all(x in views or x == "buf[0]" for x in operands), cid
 
 
 def test_plan_check_catches_a_generator_that_drops_an_entry():
